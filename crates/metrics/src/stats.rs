@@ -27,9 +27,13 @@ pub struct SummaryStats {
 impl SummaryStats {
     /// Computes summary statistics. Returns `None` for an empty slice.
     pub fn compute(values: &[f64]) -> Option<Self> {
-        if values.is_empty() {
-            return None;
-        }
+        let sorted = sorted_copy(values)?;
+        Some(Self::with_sorted(values, &sorted))
+    }
+
+    /// The statistics of `values`, given the same values in ascending
+    /// order (for the median).
+    fn with_sorted(values: &[f64], sorted: &[f64]) -> Self {
         let count = values.len();
         let mean = values.iter().sum::<f64>() / count as f64;
         let min = values.iter().copied().fold(f64::INFINITY, f64::min);
@@ -41,34 +45,44 @@ impl SummaryStats {
         } else {
             0.0
         };
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
         let median = if count % 2 == 1 {
             sorted[count / 2]
         } else {
             (sorted[count / 2 - 1] + sorted[count / 2]) / 2.0
         };
-        Some(Self {
+        Self {
             count,
             mean,
             min,
             max,
             sd,
             median,
-        })
+        }
     }
 
     /// Computes the given percentile (0–100) of a sample using
     /// nearest-rank interpolation. Returns `None` for an empty slice.
     pub fn percentile(values: &[f64], percentile: f64) -> Option<f64> {
-        if values.is_empty() {
-            return None;
-        }
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-        let rank = (percentile / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-        Some(sorted[rank.min(sorted.len() - 1)])
+        let sorted = sorted_copy(values)?;
+        Some(sorted[nearest_rank(sorted.len(), percentile)])
     }
+}
+
+/// The index of the `percentile` (0–100) in `len > 0` ascending values:
+/// `round(percentile / 100 · (len − 1))`, clamped to the last index.
+pub(crate) fn nearest_rank(len: usize, percentile: f64) -> usize {
+    let rank = (percentile / 100.0 * (len - 1) as f64).round() as usize;
+    rank.min(len - 1)
+}
+
+/// An ascending copy of `values`, or `None` when there are none.
+fn sorted_copy(values: &[f64]) -> Option<Vec<f64>> {
+    if values.is_empty() {
+        return None;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    Some(sorted)
 }
 
 /// Summary of a sample distribution including tail percentiles — the
@@ -93,17 +107,19 @@ pub struct DistributionSummary {
 }
 
 impl DistributionSummary {
-    /// Computes the summary. Returns `None` for an empty slice.
+    /// Computes the summary from one sorted copy of the values. Returns
+    /// `None` for an empty slice.
     pub fn compute(values: &[f64]) -> Option<Self> {
-        let base = SummaryStats::compute(values)?;
+        let sorted = sorted_copy(values)?;
+        let base = SummaryStats::with_sorted(values, &sorted);
         Some(Self {
             count: base.count,
             mean: base.mean,
             sd: base.sd,
             min: base.min,
             max: base.max,
-            p50: SummaryStats::percentile(values, 50.0)?,
-            p95: SummaryStats::percentile(values, 95.0)?,
+            p50: sorted[nearest_rank(sorted.len(), 50.0)],
+            p95: sorted[nearest_rank(sorted.len(), 95.0)],
         })
     }
 }

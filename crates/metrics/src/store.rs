@@ -116,11 +116,14 @@ impl SharedMetricStore {
 
     /// Records a batch of samples under a single write lock — the bulk path
     /// used by per-tick traffic recording, where taking the lock per sample
-    /// would dominate.
-    pub fn record_many(&self, samples: impl IntoIterator<Item = (SeriesKey, Sample)>) {
+    /// would dominate. A key is cloned only when its series is new.
+    pub fn record_many<'a>(&self, samples: impl IntoIterator<Item = (&'a SeriesKey, Sample)>) {
         let mut store = self.inner.write();
         for (key, sample) in samples {
-            store.record(key, sample);
+            match store.series.get_mut(key) {
+                Some(series) => series.push(sample),
+                None => store.record(key.clone(), sample),
+            }
         }
     }
 
@@ -254,7 +257,7 @@ mod tests {
         for (k, s) in &samples {
             single.record(k.clone(), *s);
         }
-        bulk.record_many(samples);
+        bulk.record_many(samples.iter().map(|(k, s)| (k, *s)));
         assert_eq!(bulk.snapshot(), single.snapshot());
     }
 

@@ -26,7 +26,7 @@
 //! simulated application traffic and engine-driven request-level traffic.
 
 use crate::sample::{Sample, SeriesKey, TimestampMs};
-use crate::stats::DistributionSummary;
+use crate::stats::nearest_rank;
 use crate::store::SharedMetricStore;
 use std::collections::BTreeMap;
 
@@ -48,34 +48,155 @@ pub const REQUESTS_SHED_TOTAL: &str = "requests_shed_total";
 /// Per-tick backend replica utilisation gauge per version (percent).
 pub const BACKEND_UTILIZATION: &str = "backend_utilization";
 
-/// Per-version accumulation of one flush window.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct WindowAccumulator {
+/// One published series of a version: its key, built once, and the value
+/// the next flush publishes (`None` publishes nothing).
+///
+/// A counter's value is its running total: `None` until the version first
+/// counts (or is registered), then re-published on every flush — Prometheus
+/// counters are cumulative, windowed `Increase` queries recover per-window
+/// rates, and a quiet version still yields a sample per scrape. A gauge's
+/// value is this flush's reading, `None` when the window had none.
+#[derive(Debug)]
+struct Series {
+    key: SeriesKey,
+    value: Option<f64>,
+}
+
+impl Series {
+    fn new(metric: &str, service: &str, version: &str) -> Self {
+        Self {
+            key: SeriesKey::new(metric)
+                .with_label("service", service)
+                .with_label("version", version),
+            value: None,
+        }
+    }
+
+    /// Adds `count` to a counter, creating it at zero first.
+    fn count(&mut self, count: u64) {
+        self.value = Some(self.value.unwrap_or(0.0) + count as f64);
+    }
+}
+
+/// What one version buffered since the last flush.
+#[derive(Debug, Default)]
+struct Window {
     requests: u64,
     errors: u64,
     latency_ms_sum: f64,
-    /// Every latency of the window, for the per-tick quantile gauges.
+    /// Every latency of the window, for the per-tick quantile gauges; the
+    /// buffer is reused across windows.
     latencies_ms: Vec<f64>,
+    shadows: u64,
+    shed: u64,
+    /// Latest backend utilisation (percent) of the window.
+    utilization: Option<f64>,
+}
+
+/// Every series of one version plus its current window.
+#[derive(Debug)]
+struct VersionSeries {
+    requests: Series,
+    errors: Series,
+    shadows: Series,
+    shed: Series,
+    latency_mean: Series,
+    latency_p50: Series,
+    latency_p95: Series,
+    utilization: Series,
+    window: Window,
+}
+
+impl VersionSeries {
+    fn new(service: &str, version: &str) -> Self {
+        Self {
+            requests: Series::new(REQUESTS_TOTAL, service, version),
+            errors: Series::new(REQUEST_ERRORS, service, version),
+            shadows: Series::new(SHADOW_REQUESTS_TOTAL, service, version),
+            shed: Series::new(REQUESTS_SHED_TOTAL, service, version),
+            latency_mean: Series::new(REQUEST_LATENCY_MS, service, version),
+            latency_p50: Series::new(REQUEST_LATENCY_P50_MS, service, version),
+            latency_p95: Series::new(REQUEST_LATENCY_P95_MS, service, version),
+            utilization: Series::new(BACKEND_UTILIZATION, service, version),
+            window: Window::default(),
+        }
+    }
+
+    /// Folds the window into the series' values and starts a new one,
+    /// keeping the latency buffer.
+    fn close_window(&mut self) {
+        let Window {
+            requests,
+            errors,
+            latency_ms_sum,
+            mut latencies_ms,
+            shadows,
+            shed,
+            utilization,
+        } = std::mem::take(&mut self.window);
+        let (mean, p50, p95) = if requests > 0 {
+            self.requests.count(requests);
+            self.errors.count(errors);
+            let (p50, p95) = window_quantiles(&mut latencies_ms);
+            (Some(latency_ms_sum / requests as f64), Some(p50), Some(p95))
+        } else {
+            (None, None, None)
+        };
+        self.latency_mean.value = mean;
+        self.latency_p50.value = p50;
+        self.latency_p95.value = p95;
+        if shed > 0 {
+            self.shed.count(shed);
+        }
+        if shadows > 0 {
+            self.shadows.count(shadows);
+        }
+        self.utilization.value = utilization;
+        latencies_ms.clear();
+        self.window.latencies_ms = latencies_ms;
+    }
+
+    fn series(&self) -> [&Series; 8] {
+        [
+            &self.requests,
+            &self.errors,
+            &self.latency_mean,
+            &self.latency_p50,
+            &self.latency_p95,
+            &self.shed,
+            &self.utilization,
+            &self.shadows,
+        ]
+    }
+}
+
+/// The nearest-rank p50 and p95 (the ranks of
+/// [`crate::SummaryStats::percentile`]) of a non-empty window, selected in
+/// place: the p95 selection partitions everything at or below p95 in front
+/// of it, where the p50 is then selected.
+fn window_quantiles(latencies: &mut [f64]) -> (f64, f64) {
+    let by_value = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite values");
+    let p95_rank = nearest_rank(latencies.len(), 95.0);
+    let p50_rank = nearest_rank(latencies.len(), 50.0);
+    let (below, p95, _) = latencies.select_nth_unstable_by(p95_rank, by_value);
+    let p95 = *p95;
+    let p50 = if p50_rank == p95_rank {
+        p95
+    } else {
+        *below.select_nth_unstable_by(p50_rank, by_value).1
+    };
+    (p50, p95)
 }
 
 /// Buffers routing outcomes per version and publishes them as metric
-/// series, one store lock per flush instead of per request.
+/// series, one store lock per flush instead of per request. Each version's
+/// series keys are built once, on its first appearance; after that,
+/// buffering and flushing allocate nothing.
 #[derive(Debug)]
 pub struct TrafficSeriesRecorder {
     store: SharedMetricStore,
     service_label: String,
-    /// Running totals published as counter samples (Prometheus counters are
-    /// cumulative; windowed `Increase` queries recover per-window rates).
-    request_totals: BTreeMap<String, f64>,
-    error_totals: BTreeMap<String, f64>,
-    shadow_totals: BTreeMap<String, f64>,
-    shed_totals: BTreeMap<String, f64>,
-    /// The current (unflushed) window.
-    window: BTreeMap<String, WindowAccumulator>,
-    shadow_window: BTreeMap<String, u64>,
-    shed_window: BTreeMap<String, u64>,
-    /// Latest per-version backend utilisation (percent) of the window.
-    utilization_window: BTreeMap<String, f64>,
+    versions: BTreeMap<String, VersionSeries>,
 }
 
 impl TrafficSeriesRecorder {
@@ -85,14 +206,7 @@ impl TrafficSeriesRecorder {
         Self {
             store,
             service_label: service_label.into(),
-            request_totals: BTreeMap::new(),
-            error_totals: BTreeMap::new(),
-            shadow_totals: BTreeMap::new(),
-            shed_totals: BTreeMap::new(),
-            window: BTreeMap::new(),
-            shadow_window: BTreeMap::new(),
-            shed_window: BTreeMap::new(),
-            utilization_window: BTreeMap::new(),
+            versions: BTreeMap::new(),
         }
     }
 
@@ -106,150 +220,60 @@ impl TrafficSeriesRecorder {
         at: TimestampMs,
     ) {
         for label in version_labels {
-            self.request_totals.entry(label.to_string()).or_insert(0.0);
-            self.error_totals.entry(label.to_string()).or_insert(0.0);
-            self.shadow_totals.entry(label.to_string()).or_insert(0.0);
-            self.shed_totals.entry(label.to_string()).or_insert(0.0);
+            let version = self.version(label);
+            for counter in [
+                &mut version.requests,
+                &mut version.errors,
+                &mut version.shadows,
+                &mut version.shed,
+            ] {
+                counter.count(0);
+            }
         }
         self.flush(at);
     }
 
     /// Buffers the outcome of one routed request. Allocation-free except
-    /// for a version's first appearance in the current window.
+    /// for a version's first appearance and window growth.
     pub fn observe_request(&mut self, version_label: &str, latency_ms: f64, success: bool) {
-        if !self.window.contains_key(version_label) {
-            self.window
-                .insert(version_label.to_string(), WindowAccumulator::default());
-        }
-        let acc = self.window.get_mut(version_label).expect("just ensured");
-        acc.requests += 1;
-        acc.latency_ms_sum += latency_ms;
-        acc.latencies_ms.push(latency_ms);
+        let window = &mut self.version(version_label).window;
+        window.requests += 1;
+        window.latency_ms_sum += latency_ms;
+        window.latencies_ms.push(latency_ms);
         if !success {
-            acc.errors += 1;
+            window.errors += 1;
         }
     }
 
     /// Buffers one request (primary or shadow) the version's backend shed
-    /// from a full queue or timed out past its deadline. Allocation-free
-    /// except for a version's first appearance in the current window.
+    /// from a full queue or timed out past its deadline.
     pub fn observe_shed(&mut self, version_label: &str) {
-        if !self.shed_window.contains_key(version_label) {
-            self.shed_window.insert(version_label.to_string(), 0);
-        }
-        *self
-            .shed_window
-            .get_mut(version_label)
-            .expect("just ensured") += 1;
+        self.version(version_label).window.shed += 1;
     }
 
     /// Buffers the version's backend replica utilisation (percent) sampled
     /// over the current tick; the latest value per version wins.
     pub fn observe_utilization(&mut self, version_label: &str, percent: f64) {
-        if let Some(slot) = self.utilization_window.get_mut(version_label) {
-            *slot = percent;
-        } else {
-            self.utilization_window
-                .insert(version_label.to_string(), percent);
-        }
+        self.version(version_label).window.utilization = Some(percent);
     }
 
     /// Buffers one dark-launch shadow copy sent to `version_label`.
-    /// Allocation-free except for a version's first appearance in the
-    /// current window.
     pub fn observe_shadow(&mut self, version_label: &str) {
-        if !self.shadow_window.contains_key(version_label) {
-            self.shadow_window.insert(version_label.to_string(), 0);
-        }
-        *self
-            .shadow_window
-            .get_mut(version_label)
-            .expect("just ensured") += 1;
+        self.version(version_label).window.shadows += 1;
     }
 
     /// Publishes the buffered window (and the running counter totals) at
     /// virtual time `at`, then clears the window.
     pub fn flush(&mut self, at: TimestampMs) {
-        let mut samples: Vec<(SeriesKey, Sample)> = Vec::new();
-        for (version, acc) in std::mem::take(&mut self.window) {
-            let requests = {
-                let total = self.request_totals.entry(version.clone()).or_insert(0.0);
-                *total += acc.requests as f64;
-                *total
-            };
-            samples.push((
-                self.key(REQUESTS_TOTAL, &version),
-                Sample::new(at, requests),
-            ));
-            let errors = {
-                let total = self.error_totals.entry(version.clone()).or_insert(0.0);
-                *total += acc.errors as f64;
-                *total
-            };
-            samples.push((self.key(REQUEST_ERRORS, &version), Sample::new(at, errors)));
-            if acc.requests > 0 {
-                samples.push((
-                    self.key(REQUEST_LATENCY_MS, &version),
-                    Sample::new(at, acc.latency_ms_sum / acc.requests as f64),
-                ));
-            }
-            if let Some(summary) = DistributionSummary::compute(&acc.latencies_ms) {
-                samples.push((
-                    self.key(REQUEST_LATENCY_P50_MS, &version),
-                    Sample::new(at, summary.p50),
-                ));
-                samples.push((
-                    self.key(REQUEST_LATENCY_P95_MS, &version),
-                    Sample::new(at, summary.p95),
-                ));
-            }
+        for version in self.versions.values_mut() {
+            version.close_window();
         }
-        for (version, count) in std::mem::take(&mut self.shed_window) {
-            let shed = {
-                let total = self.shed_totals.entry(version.clone()).or_insert(0.0);
-                *total += count as f64;
-                *total
-            };
-            samples.push((
-                self.key(REQUESTS_SHED_TOTAL, &version),
-                Sample::new(at, shed),
-            ));
-        }
-        for (version, percent) in std::mem::take(&mut self.utilization_window) {
-            samples.push((
-                self.key(BACKEND_UTILIZATION, &version),
-                Sample::new(at, percent),
-            ));
-        }
-        for (version, count) in std::mem::take(&mut self.shadow_window) {
-            let shadows = {
-                let total = self.shadow_totals.entry(version.clone()).or_insert(0.0);
-                *total += count as f64;
-                *total
-            };
-            samples.push((
-                self.key(SHADOW_REQUESTS_TOTAL, &version),
-                Sample::new(at, shadows),
-            ));
-        }
-        // Quiet versions re-publish their current totals so windowed queries
-        // always see a sample (the shape of a Prometheus scrape loop).
-        for (metric, totals) in [
-            (REQUESTS_TOTAL, &self.request_totals),
-            (REQUEST_ERRORS, &self.error_totals),
-            (SHADOW_REQUESTS_TOTAL, &self.shadow_totals),
-            (REQUESTS_SHED_TOTAL, &self.shed_totals),
-        ] {
-            for (version, total) in totals {
-                let key = SeriesKey::new(metric)
-                    .with_label("service", &self.service_label)
-                    .with_label("version", version);
-                if !samples.iter().any(|(k, _)| *k == key) {
-                    samples.push((key, Sample::new(at, *total)));
-                }
-            }
-        }
-        self.store.record_many(samples);
+        self.store.record_many(
+            self.versions
+                .values()
+                .flat_map(VersionSeries::series)
+                .filter_map(|series| Some((&series.key, Sample::new(at, series.value?)))),
+        );
     }
 
     /// The underlying store handle.
@@ -257,10 +281,13 @@ impl TrafficSeriesRecorder {
         &self.store
     }
 
-    fn key(&self, metric: &str, version: &str) -> SeriesKey {
-        SeriesKey::new(metric)
-            .with_label("service", &self.service_label)
-            .with_label("version", version)
+    /// The version's series, created with its keys on first sight.
+    fn version(&mut self, label: &str) -> &mut VersionSeries {
+        if !self.versions.contains_key(label) {
+            let series = VersionSeries::new(&self.service_label, label);
+            self.versions.insert(label.to_string(), series);
+        }
+        self.versions.get_mut(label).expect("just ensured")
     }
 }
 

@@ -7,9 +7,17 @@
 //! busy time so utilisation over arbitrary windows can be reported — this is
 //! the mechanism behind Figures 7–10 (engine CPU utilisation and enactment
 //! delay as a function of parallel strategies / checks on a single-core VM).
+//!
+//! Dispatch is a discrete-event pop-min: the cores sit in a min-heap keyed
+//! by `(free_at, core index)`, so picking the earliest-free core and
+//! re-queueing it at its new completion time costs O(log cores) instead of
+//! a scan over every core. Among cores free at the same instant the lowest
+//! index wins.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Duration;
 
 /// The result of submitting a piece of work to a CPU.
@@ -36,11 +44,14 @@ impl WorkReceipt {
 }
 
 /// A processor with `cores` identical cores executing work in FIFO order per
-/// core (work is dispatched to the earliest-available core).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// core. Work is dispatched to the earliest-available core, the lowest core
+/// index breaking ties, by popping the minimum of a heap of
+/// `(free_at, core index)` pairs — O(log cores) per submission.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CpuResource {
-    /// Earliest time each core becomes idle again.
-    cores: Vec<SimTime>,
+    /// Every core as `(earliest time it becomes idle again, core index)`,
+    /// smallest pair on top.
+    cores: BinaryHeap<Reverse<(SimTime, usize)>>,
     /// Total busy time accumulated across all cores.
     busy: Duration,
     /// Execution intervals `(start, end)` not yet fully attributed to a
@@ -52,11 +63,26 @@ pub struct CpuResource {
     executed: u64,
 }
 
+/// Two CPUs are equal when every core (by index) frees up at the same time
+/// and the accounting matches; the heap's internal layout, which depends on
+/// the order the cores were re-queued in, does not count.
+impl PartialEq for CpuResource {
+    fn eq(&self, other: &Self) -> bool {
+        self.busy == other.busy
+            && self.executed == other.executed
+            && self.last_sample_at == other.last_sample_at
+            && self.pending_intervals == other.pending_intervals
+            && self.core_free_times() == other.core_free_times()
+    }
+}
+
 impl CpuResource {
     /// Creates a CPU with the given number of cores (minimum 1).
     pub fn new(cores: usize) -> Self {
         Self {
-            cores: vec![SimTime::ZERO; cores.max(1)],
+            cores: (0..cores.max(1))
+                .map(|index| Reverse((SimTime::ZERO, index)))
+                .collect(),
             busy: Duration::ZERO,
             pending_intervals: Vec::new(),
             last_sample_at: SimTime::ZERO,
@@ -75,6 +101,15 @@ impl CpuResource {
         self.cores.len()
     }
 
+    /// The time each core becomes idle again, indexed by core.
+    pub fn core_free_times(&self) -> Vec<SimTime> {
+        let mut free = vec![SimTime::ZERO; self.cores.len()];
+        for Reverse((free_at, index)) in &self.cores {
+            free[*index] = *free_at;
+        }
+        free
+    }
+
     /// Number of work items executed so far.
     pub fn executed(&self) -> u64 {
         self.executed
@@ -88,16 +123,13 @@ impl CpuResource {
     /// Submits work arriving at `arrival` with the given service `demand`.
     /// Returns when the work started and completed.
     pub fn submit(&mut self, arrival: SimTime, demand: Duration) -> WorkReceipt {
-        let (idx, earliest) = self
-            .cores
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by_key(|(_, t)| *t)
-            .expect("at least one core");
-        let started = earliest.max(arrival);
+        let mut core = self.cores.peek_mut().expect("at least one core");
+        let Reverse((free_at, _)) = &mut *core;
+        let started = (*free_at).max(arrival);
         let completed = started + demand;
-        self.cores[idx] = completed;
+        // Re-keying the top core sifts it down when the guard drops.
+        *free_at = completed;
+        drop(core);
         self.busy += demand;
         if !demand.is_zero() {
             self.pending_intervals.push((started, completed));
@@ -112,17 +144,17 @@ impl CpuResource {
 
     /// The earliest time at which a newly arriving item could start.
     pub fn earliest_start(&self, arrival: SimTime) -> SimTime {
-        self.cores
-            .iter()
-            .copied()
-            .min()
-            .expect("at least one core")
-            .max(arrival)
+        let Reverse((free_at, _)) = self.cores.peek().expect("at least one core");
+        (*free_at).max(arrival)
     }
 
     /// The time at which all queued work is finished.
     pub fn drained_at(&self) -> SimTime {
-        self.cores.iter().copied().max().expect("at least one core")
+        self.cores
+            .iter()
+            .map(|Reverse((free_at, _))| *free_at)
+            .max()
+            .expect("at least one core")
     }
 
     /// Utilisation in percent of total core capacity since the previous call
@@ -138,19 +170,17 @@ impl CpuResource {
         let window_start = self.last_sample_at;
         let window = now - window_start;
         let mut busy_in_window = Duration::ZERO;
-        let mut remaining = Vec::new();
-        for (start, end) in self.pending_intervals.drain(..) {
-            let overlap_start = start.max(window_start);
-            let overlap_end = end.min(now);
+        // Compacts in place: attributed intervals drop out, and the tails
+        // of intervals running past `now` stay for future windows.
+        self.pending_intervals.retain_mut(|(start, end)| {
+            let overlap_start = (*start).max(window_start);
+            let overlap_end = (*end).min(now);
             if overlap_end > overlap_start {
                 busy_in_window += overlap_end - overlap_start;
             }
-            if end > now {
-                // The tail of this interval belongs to future windows.
-                remaining.push((start.max(now), end));
-            }
-        }
-        self.pending_intervals = remaining;
+            *start = (*start).max(now);
+            *end > now
+        });
         let utilization = if window.is_zero() {
             0.0
         } else {
