@@ -11,12 +11,11 @@ use bifrost_core::seed::Seed;
 use bifrost_engine::{BifrostEngine, EngineConfig};
 use bifrost_metrics::{SeriesKey, SharedMetricStore, SummaryStats, TimestampMs};
 use bifrost_simnet::{SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// One measurement point of the parallel-strategies experiment
 /// (Figures 7 and 8).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParallelStrategiesPoint {
     /// Number of strategies executed in parallel.
     pub strategies: usize,
@@ -31,7 +30,7 @@ pub struct ParallelStrategiesPoint {
 
 /// One measurement point of the parallel-checks experiment
 /// (Figures 9 and 10).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParallelChecksPoint {
     /// Number of checks executed in parallel (per phase).
     pub checks: usize,

@@ -1,11 +1,10 @@
 //! Minimal JSON tree, writer, and parser.
 //!
-//! The workspace's `serde` dependency resolves to an offline no-op stub (the
-//! build environment has no registry access), so the machine-readable
-//! `BENCH_*.json` reports are emitted and re-read through this small,
-//! dependency-free implementation. It covers exactly what the benchmark
-//! schema needs: objects with ordered keys, arrays, finite numbers, strings
-//! with standard escapes, booleans, and null.
+//! The machine-readable `BENCH_*.json` reports are emitted and re-read
+//! through this small, dependency-free implementation; nothing else in the
+//! workspace serialises. It covers exactly what the benchmark schema needs:
+//! objects with ordered keys, arrays, finite numbers, strings with standard
+//! escapes, booleans, and null.
 
 use std::fmt;
 

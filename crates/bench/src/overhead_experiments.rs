@@ -3,10 +3,9 @@
 use bifrost_casestudy::{OverheadExperiment, OverheadRun, Variant};
 use bifrost_core::seed::Seed;
 use bifrost_metrics::SummaryStats;
-use serde::{Deserialize, Serialize};
 
 /// One variant's Figure 6 series plus its per-phase means.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Series {
     /// Which variant the series belongs to.
     pub variant: Variant,
@@ -19,7 +18,7 @@ pub struct Fig6Series {
 
 /// One row group of Table 1: the summary statistics of one phase under one
 /// variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// The release phase.
     pub phase: String,

@@ -17,12 +17,11 @@ use bifrost_metrics::{SeriesKey, SharedMetricStore};
 use bifrost_proxy::{ProxyRequest, RoutingDecision};
 use bifrost_simnet::{Cluster, ContainerId, InstanceSpec, SimRng, SimTime};
 use bifrost_workload::{RequestKind, ResponseRecord};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Whether Bifrost proxies are part of the deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProxyDeployment {
     /// No proxies deployed (the paper's *baseline* variant).
     None,
@@ -34,7 +33,7 @@ pub enum ProxyDeployment {
 
 /// The identifiers of the case-study services and versions, shared between
 /// the application, the strategies, and the engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseStudyTopology {
     /// The service catalog (product + search with all their versions).
     pub catalog: ServiceCatalog,

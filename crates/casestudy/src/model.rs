@@ -7,11 +7,10 @@
 //! Figure 6 / Table 1.
 
 use bifrost_workload::RequestKind;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// CPU demand parameters of the application services (milliseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceCosts {
     /// nginx reverse-proxy processing per request.
     pub nginx_ms: f64,
@@ -91,7 +90,7 @@ impl ServiceCosts {
 
 /// Behaviour of one deployed version of a service: how its processing time
 /// and error rate differ from the stable implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VersionBehavior {
     /// Multiplier applied to the service's base CPU demand (1.0 = identical
     /// to stable, 0.8 = 20 % faster).

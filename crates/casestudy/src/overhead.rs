@@ -18,11 +18,10 @@ use bifrost_engine::{BifrostEngine, EngineConfig};
 use bifrost_metrics::{SharedMetricStore, SummaryStats};
 use bifrost_simnet::{SimRng, SimTime};
 use bifrost_workload::{LoadProfile, PhaseWindow, ResponseRecorder};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// The three deployment variations compared by the experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
     /// No middleware deployed.
     Baseline,
@@ -47,7 +46,7 @@ impl Variant {
 }
 
 /// The phase timeline of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhasePlan {
     /// Seconds of ramp-up plus health-checking before the strategy starts.
     pub warmup: Duration,
@@ -112,7 +111,7 @@ impl PhasePlan {
 }
 
 /// The outcome of one run of one variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverheadRun {
     /// Which variant was executed.
     pub variant: Variant,

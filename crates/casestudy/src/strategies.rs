@@ -27,11 +27,10 @@ use bifrost_core::state::State;
 use bifrost_core::thresholds::Thresholds;
 use bifrost_core::timer::Timer;
 use bifrost_core::user::UserSelector;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Phase durations of the end-user overhead experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvaluationDurations {
     /// Canary phase duration.
     pub canary: Duration,

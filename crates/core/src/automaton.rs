@@ -12,13 +12,12 @@ use crate::ids::StateId;
 use crate::outcome::StateOutcome;
 use crate::state::State;
 use crate::thresholds::Thresholds;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 /// One resolved transition: from a state, for outcome values falling into
 /// `range_index` of the state's thresholds, move to `target`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition {
     /// The origin state.
     pub from: StateId,
@@ -33,7 +32,7 @@ pub struct Transition {
 /// Range indices follow [`Thresholds::classify`]: index 0 covers the lowest
 /// outcome values. A target may be the state itself, which models
 /// "stay in the current state and re-execute it with all timers reset".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransitionTable {
     targets: Vec<StateId>,
 }
@@ -66,7 +65,7 @@ impl TransitionTable {
 }
 
 /// The release automaton.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Automaton {
     states: BTreeMap<StateId, State>,
     start: StateId,

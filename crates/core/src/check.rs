@@ -16,12 +16,11 @@ use crate::error::ModelError;
 use crate::ids::{CheckId, StateId};
 use crate::outcome::OutcomeMapping;
 use crate::timer::Timer;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A comparison applied to a scalar metric value, e.g. `"< 5"` in the DSL.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Validator {
     /// Metric must be strictly less than the bound.
     LessThan(f64),
@@ -114,7 +113,7 @@ impl fmt::Display for Validator {
 
 /// How the samples fetched for a metric query are reduced to the scalar that
 /// the [`Validator`] is applied to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueryAggregation {
     /// Use the most recent sample.
     #[default]
@@ -135,7 +134,7 @@ pub enum QueryAggregation {
 
 /// A named query against a metrics provider (`Ωᵢ ⊆ Ω` of a check), e.g. the
 /// `request_errors{instance="search:80"}` Prometheus query of Listing 1.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricQuery {
     /// The provider to query (e.g. `"prometheus"`).
     provider: String,
@@ -225,7 +224,7 @@ impl MetricQuery {
 /// The common case ties one query to one validator, but a check may fetch
 /// several metrics and require all (or any) of the validators to pass, which
 /// covers cross-version comparisons used for A/B test evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckSpec {
     queries: Vec<(MetricQuery, Validator)>,
     require_all: bool,
@@ -286,7 +285,7 @@ impl CheckSpec {
 
 /// Distinguishes basic from exception checks, carrying the kind-specific
 /// configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CheckKind {
     /// Basic check: the per-execution results are summed up at the end of
     /// the state and mapped through an output mapping.
@@ -297,21 +296,21 @@ pub enum CheckKind {
 }
 
 /// Kind-specific configuration of a basic check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BasicCheck {
     /// The output mapping applied to the aggregated execution sum.
     pub mapping: OutcomeMapping,
 }
 
 /// Kind-specific configuration of an exception check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExceptionCheck {
     /// The state the automaton falls back to when an execution fails.
     pub fallback: StateId,
 }
 
 /// A complete check `cᵢ`: spec (metric function), timer, and kind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Check {
     id: CheckId,
     name: String,

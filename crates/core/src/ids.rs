@@ -5,14 +5,13 @@
 //! the compiler rules out mixing them up (e.g. passing a [`StateId`] where a
 //! [`CheckId`] is expected).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! numeric_id {
     ($(#[$meta:meta])* $name:ident, $prefix:literal) => {
         $(#[$meta])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
         pub struct $name(u64);
 
@@ -83,7 +82,7 @@ numeric_id!(
 ///
 /// Builders use this to assign ids deterministically, which keeps model
 /// construction reproducible (important for the simulation substrate).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IdAllocator {
     next: u64,
 }

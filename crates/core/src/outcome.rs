@@ -12,12 +12,11 @@
 use crate::error::ModelError;
 use crate::ids::{CheckId, StateId};
 use crate::thresholds::Thresholds;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A weighting factor `wᵢ ∈ W` applied to a check's result in the state-level
 /// linear combination.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Weight(f64);
 
 impl Weight {
@@ -59,7 +58,7 @@ impl fmt::Display for Weight {
 }
 
 /// One entry of an output mapping: values in `(lower, upper]` map to `result`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutcomeRange {
     /// Exclusive lower bound (`None` = −∞).
     pub lower: Option<i64>,
@@ -84,7 +83,7 @@ pub struct OutcomeRange {
 /// assert_eq!(mapping.map(100), 5);
 /// # Ok::<(), bifrost_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutcomeMapping {
     thresholds: Thresholds,
     results: Vec<i64>,
@@ -155,7 +154,7 @@ impl OutcomeMapping {
 }
 
 /// The result of a completed check within a state execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckOutcome {
     /// The check this outcome belongs to.
     pub check: CheckId,
@@ -210,7 +209,7 @@ impl CheckOutcome {
 
 /// The aggregated outcome of a state: the weighted linear combination of its
 /// check results, plus bookkeeping used by the engine and dashboard.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateOutcome {
     /// The state this outcome belongs to.
     pub state: StateId,

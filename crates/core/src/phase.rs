@@ -12,11 +12,10 @@ use crate::outcome::{OutcomeMapping, Weight};
 use crate::routing::Percentage;
 use crate::timer::Timer;
 use crate::user::UserSelector;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A check attached to a phase, before ids are assigned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseCheck {
     /// Human-readable name.
     pub name: String,
@@ -85,7 +84,7 @@ impl PhaseCheck {
 }
 
 /// The kind of live testing performed in a phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PhaseKind {
     /// Canary release: route `share` percent of the selected users to the
     /// canary version, the rest stays on the stable version.
@@ -142,7 +141,7 @@ pub enum PhaseKind {
 }
 
 /// A declarative phase of a multi-phase live testing strategy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSpec {
     name: String,
     kind: PhaseKind,

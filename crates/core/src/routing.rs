@@ -12,12 +12,11 @@
 use crate::error::ModelError;
 use crate::ids::{ServiceId, UserId, VersionId};
 use crate::user::UserSelector;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A percentage in the inclusive range `0.0..=100.0`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Percentage(f64);
 
 /// The default shard count of a proxy's sticky-session table.
@@ -86,7 +85,7 @@ impl TryFrom<f64> for Percentage {
 }
 
 /// A user-to-version assignment `⟨uₖ, vⱼ, sticky⟩`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UserAssignment {
     /// The assigned user.
     pub user: UserId,
@@ -112,7 +111,7 @@ impl UserAssignment {
 /// A dark-launch route `⟨v_src, v_tgt, p⟩`: `p` percent of the traffic hitting
 /// `source` is duplicated and also sent to `target` (whose responses are
 /// discarded).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DarkLaunchRoute {
     /// The version whose traffic is observed.
     pub source: VersionId,
@@ -135,7 +134,7 @@ impl DarkLaunchRoute {
 
 /// How the proxy identifies a user across requests when making routing
 /// decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoutingMode {
     /// The proxy sets and reads a UUID cookie (`Set-Cookie`) to bucket and
     /// re-identify clients itself. Slightly slower but self-contained.
@@ -150,7 +149,7 @@ pub enum RoutingMode {
 ///
 /// The weights must sum to 100 % (within a small tolerance to absorb
 /// floating-point error accumulated by gradual-rollout step arithmetic).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficSplit {
     shares: Vec<(VersionId, Percentage)>,
 }
@@ -267,7 +266,7 @@ impl TrafficSplit {
 /// A routing rule of a state: for one service, either split live traffic
 /// across versions or duplicate ("shadow") traffic to a dark-launched
 /// version.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RoutingRule {
     /// Split live traffic between versions according to a [`TrafficSplit`].
     Split {
@@ -320,7 +319,7 @@ impl RoutingRule {
 /// materialised user assignments plus the active dark-launch routes. Proxies
 /// hold one of these per service and update it whenever the engine pushes a
 /// new state's routing rules.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DynamicRoutingConfig {
     assignments: BTreeMap<UserId, UserAssignment>,
     dark_launches: Vec<DarkLaunchRoute>,

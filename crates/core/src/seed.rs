@@ -10,11 +10,10 @@
 //! [`TrialConfig`] bundles the base seed with a trial's index; it is the
 //! value the `bifrost-bench` trial runner passes to each trial closure.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A deterministic RNG seed threaded through every seedable layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Seed(u64);
 
 impl Seed {
@@ -73,7 +72,7 @@ impl fmt::Display for Seed {
 }
 
 /// The identity of one trial within a multi-trial experiment run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TrialConfig {
     /// The experiment's base seed.
     pub base_seed: Seed,

@@ -8,13 +8,12 @@
 
 use crate::error::ModelError;
 use crate::ids::{IdAllocator, ServiceId, VersionId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Static configuration `scᵢ` of a service version: where the version can be
 /// reached on the (possibly simulated) network.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Endpoint {
     host: String,
     port: u16,
@@ -48,7 +47,7 @@ impl fmt::Display for Endpoint {
 
 /// One concrete, deployable version `vⱼ` of a service, together with its
 /// static configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceVersion {
     name: String,
     endpoint: Endpoint,
@@ -90,7 +89,7 @@ impl ServiceVersion {
 }
 
 /// An atomic architectural component `bᵢ ∈ B` (a microservice).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Service {
     name: String,
     description: Option<String>,
@@ -123,7 +122,7 @@ impl Service {
 }
 
 /// Internal record of a registered service plus its versions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct ServiceEntry {
     service: Service,
     versions: Vec<VersionId>,
@@ -134,7 +133,7 @@ struct ServiceEntry {
 ///
 /// The catalog owns id allocation so that services and versions get stable,
 /// deterministic identifiers.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceCatalog {
     services: BTreeMap<ServiceId, ServiceEntry>,
     versions: BTreeMap<VersionId, (ServiceId, ServiceVersion)>,

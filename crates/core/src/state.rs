@@ -12,11 +12,10 @@ use crate::ids::{CheckId, StateId};
 use crate::outcome::Weight;
 use crate::routing::RoutingRule;
 use crate::thresholds::Thresholds;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// One state of the release automaton.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct State {
     id: StateId,
     name: String,

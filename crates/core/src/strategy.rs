@@ -16,11 +16,10 @@ use crate::service::ServiceCatalog;
 use crate::state::State;
 use crate::thresholds::Thresholds;
 use crate::timer::Timer;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A complete multi-phase live testing strategy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Strategy {
     id: StrategyId,
     name: String,

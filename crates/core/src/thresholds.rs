@@ -8,7 +8,6 @@
 //! value).
 
 use crate::error::ModelError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An ordered, strictly increasing tuple of integer thresholds.
@@ -28,7 +27,7 @@ use std::fmt;
 /// assert_eq!(t.classify(9), 2);  // 4 < 9
 /// # Ok::<(), bifrost_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Thresholds {
     values: Vec<i64>,
 }

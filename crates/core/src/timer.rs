@@ -6,7 +6,6 @@
 //! of its checks has finished all repetitions.
 
 use crate::error::ModelError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
@@ -22,7 +21,7 @@ use std::time::Duration;
 /// assert_eq!(timer.total_duration(), Duration::from_secs(60));
 /// # Ok::<(), bifrost_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Timer {
     interval: Duration,
     repetitions: u32,

@@ -11,11 +11,10 @@ use crate::ids::UserId;
 use crate::routing::Percentage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A single attribute of a user (e.g. `country = "US"`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct UserAttribute {
     key: String,
     value: String,
@@ -42,7 +41,7 @@ impl UserAttribute {
 }
 
 /// A user of the application.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct User {
     id: UserId,
     attributes: BTreeMap<String, String>,
@@ -93,7 +92,7 @@ impl User {
 /// population by hashing the user id (so the same user is consistently in or
 /// out of the sample), and [`UserSelector::And`] intersects selectors (e.g.
 /// "1 % of the US users").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum UserSelector {
     /// Matches every user.
     All,
@@ -154,7 +153,7 @@ fn stable_bucket(user: UserId) -> u64 {
 
 /// A population of users, used by the simulation substrate and by examples to
 /// drive selection functions against realistic user bases.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UserPopulation {
     users: Vec<User>,
 }

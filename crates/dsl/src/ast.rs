@@ -8,11 +8,10 @@
 
 use crate::error::DslError;
 use crate::yaml::YamlValue;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One declared version of a service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VersionDoc {
     /// The version name (e.g. `"fastsearch"`).
     pub name: String,
@@ -25,7 +24,7 @@ pub struct VersionDoc {
 }
 
 /// One declared service with its versions and optional proxy host.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceDoc {
     /// The service name.
     pub name: String,
@@ -36,14 +35,14 @@ pub struct ServiceDoc {
 }
 
 /// The deployment part of a strategy file.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DeploymentDoc {
     /// Declared services.
     pub services: Vec<ServiceDoc>,
 }
 
 /// One metric query of a check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricDoc {
     /// The provider name (e.g. `"prometheus"`).
     pub provider: String,
@@ -59,7 +58,7 @@ pub struct MetricDoc {
 }
 
 /// One check of a phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckDoc {
     /// The check name.
     pub name: String,
@@ -81,7 +80,7 @@ pub struct CheckDoc {
 }
 
 /// The kind of a phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseType {
     /// Canary release.
     Canary,
@@ -107,7 +106,7 @@ impl PhaseType {
 }
 
 /// One phase of the strategy part.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseDoc {
     /// The phase name.
     pub name: String,
@@ -161,7 +160,7 @@ pub const MAX_BACKEND_MS: i64 = 3_600_000;
 /// `engine: backends:` section. Used by `bifrost run --traffic` to give
 /// the version capacity-bounded replicas instead of the degenerate
 /// unlimited-capacity model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackendDoc {
     /// The service the version belongs to; `None` matches the version name
     /// in any service.
@@ -190,7 +189,7 @@ impl BackendDoc {
 /// Enactment-engine settings declared in a strategy file. These do not
 /// alter the compiled strategy — they tune the engine the CLI builds to
 /// enact it (and default to the engine's own defaults when absent).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EngineDoc {
     /// How many ways each proxy shards its sticky-session table
     /// (`session_shards`, minimum 1). `None` keeps the engine default.
@@ -205,7 +204,7 @@ pub struct EngineDoc {
 }
 
 /// A complete, parsed strategy file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrategyDocument {
     /// The strategy name.
     pub name: String,

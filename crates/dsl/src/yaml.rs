@@ -13,11 +13,10 @@
 //! supported — the DSL does not need them.
 
 use crate::error::DslError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A parsed YAML value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum YamlValue {
     /// `null` / `~` / empty value.
     Null,

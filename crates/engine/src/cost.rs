@@ -9,11 +9,10 @@
 //! 1600 parallel checks per phase produce a delay of several tens of
 //! seconds.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// CPU demand of the engine's individual actions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineCostModel {
     /// Cost of executing one check once: evaluating its metric function,
     /// excluding the per-query cost below (milliseconds).

@@ -25,7 +25,6 @@
 use bifrost_core::ids::{CheckId, StateId, StrategyId};
 use bifrost_core::ServiceId;
 use bifrost_simnet::SimTime;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -177,7 +176,7 @@ impl<A> std::fmt::Debug for EventQueue<A> {
 }
 
 /// One entry of the engine's event stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EngineEvent {
     /// A strategy was scheduled for execution.
     StrategyScheduled {
@@ -364,7 +363,7 @@ impl EngineEvent {
 }
 
 /// An append-only log of engine events with a per-strategy index.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventLog {
     events: Vec<EngineEvent>,
     /// Positions in `events` belonging to each strategy, in insertion order.

@@ -6,11 +6,10 @@ use bifrost_core::state::State;
 use bifrost_core::strategy::Strategy;
 use bifrost_core::ModelError;
 use bifrost_simnet::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The progress of one check within the currently executing state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckProgress {
     /// The check.
     pub check: CheckId,
@@ -30,7 +29,7 @@ impl CheckProgress {
 }
 
 /// The lifecycle of a strategy execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionStatus {
     /// Scheduled but not yet admitted by the engine.
     Scheduled,

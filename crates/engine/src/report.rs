@@ -9,11 +9,10 @@
 use crate::execution::{ExecutionStatus, StrategyExecution};
 use bifrost_core::ids::{StateId, StrategyId};
 use bifrost_simnet::SimTime;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A summary of one strategy execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrategyReport {
     /// The strategy.
     pub strategy: StrategyId,

@@ -9,7 +9,6 @@
 
 use crate::sample::{SeriesKey, TimestampMs};
 use crate::store::SharedMetricStore;
-use serde::{Deserialize, Serialize};
 
 /// Metric name used for CPU utilisation samples (0–100, percent of one core).
 pub const CPU_UTILIZATION_METRIC: &str = "container_cpu_utilization";
@@ -17,7 +16,7 @@ pub const CPU_UTILIZATION_METRIC: &str = "container_cpu_utilization";
 pub const MEMORY_BYTES_METRIC: &str = "container_memory_bytes";
 
 /// One scrape of a container's resource usage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceSample {
     /// The container (or service instance) name, e.g. `"bifrost-engine"`.
     pub container: String,

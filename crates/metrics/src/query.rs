@@ -5,11 +5,10 @@
 //! look-back window, and reduce it to a scalar with an aggregation function.
 
 use crate::sample::{Labels, Sample, SeriesKey};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// An exact-match label matcher (`instance="search:80"`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LabelMatcher {
     key: String,
     value: String,
@@ -41,7 +40,7 @@ impl LabelMatcher {
 }
 
 /// How a window of samples is reduced to a scalar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Aggregation {
     /// The most recent sample in the window.
     #[default]
@@ -97,7 +96,7 @@ impl Aggregation {
 }
 
 /// A range query: metric name, label matchers, window, and aggregation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RangeQuery {
     metric: String,
     matchers: Vec<LabelMatcher>,

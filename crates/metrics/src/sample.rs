@@ -1,6 +1,5 @@
 //! Samples, labels, timestamps, and series keys.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
@@ -9,9 +8,7 @@ use std::time::Duration;
 ///
 /// The metrics substrate is clock-agnostic: the discrete-event simulator
 /// feeds it virtual time, a wall-clock deployment would feed real time.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TimestampMs(u64);
 
 impl TimestampMs {
@@ -71,7 +68,7 @@ impl From<Duration> for TimestampMs {
 pub type Labels = BTreeMap<String, String>;
 
 /// A single measurement: a timestamp and a value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// When the measurement was taken.
     pub timestamp: TimestampMs,
@@ -87,7 +84,7 @@ impl Sample {
 }
 
 /// The identity of a time series: a metric name plus its labels.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SeriesKey {
     name: String,
     labels: Labels,

@@ -1,7 +1,6 @@
 //! A single time series: an append-mostly, time-ordered list of samples.
 
 use crate::sample::{Sample, TimestampMs};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// One time series `mᵢ = (t₀, …, tₙ)` of the monitoring data `Ω`.
@@ -9,7 +8,7 @@ use std::time::Duration;
 /// Samples are kept sorted by timestamp. Appends at or after the current end
 /// are O(1); out-of-order inserts (rare — e.g. backfilled data) fall back to
 /// a binary-search insert.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     samples: Vec<Sample>,
 }

@@ -15,10 +15,8 @@
 //! collect, so the normal approximation is adequate and keeps the crate
 //! dependency-free).
 
-use serde::{Deserialize, Serialize};
-
 /// The decision of an A/B comparison at a given significance level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbVerdict {
     /// Variant A performed significantly better.
     AWins,
@@ -29,7 +27,7 @@ pub enum AbVerdict {
 }
 
 /// The outcome of a statistical comparison between two variants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbTestResult {
     /// The point estimate for variant A (proportion or mean).
     pub estimate_a: f64,
@@ -56,7 +54,7 @@ impl AbTestResult {
 
 /// Conversion counts of one variant: how many trials (e.g. buy requests) and
 /// how many successes (e.g. completed purchases).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conversions {
     /// Number of trials.
     pub trials: u64,

@@ -5,10 +5,8 @@
 //! moving average. Both computations live here so the workload generator,
 //! benches, and experiment binaries share one implementation.
 
-use serde::{Deserialize, Serialize};
-
 /// Basic summary statistics of a sample of `f64` values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SummaryStats {
     /// Number of values.
     pub count: usize,
@@ -88,7 +86,7 @@ fn sorted_copy(values: &[f64]) -> Option<Vec<f64>> {
 /// Summary of a sample distribution including tail percentiles — the
 /// aggregation the multi-trial benchmark runner reports per experiment
 /// point (mean / p50 / p95 / standard deviation across trials).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistributionSummary {
     /// Number of values.
     pub count: usize,

@@ -5,13 +5,12 @@ use crate::query::RangeQuery;
 use crate::sample::{Sample, SeriesKey, TimestampMs};
 use crate::series::TimeSeries;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// An in-memory, label-indexed collection of time series.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricStore {
     series: BTreeMap<SeriesKey, TimeSeries>,
 }

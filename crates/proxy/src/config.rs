@@ -9,10 +9,9 @@
 use bifrost_core::ids::{ServiceId, VersionId};
 use bifrost_core::routing::{DarkLaunchRoute, RoutingMode, TrafficSplit};
 use bifrost_core::user::UserSelector;
-use serde::{Deserialize, Serialize};
 
 /// One rule of a proxy configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProxyRule {
     /// Split live traffic across versions.
     Split {
@@ -61,7 +60,7 @@ impl ProxyRule {
 }
 
 /// The full routing configuration of one proxy at one point in time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProxyConfig {
     service: ServiceId,
     default_version: VersionId,

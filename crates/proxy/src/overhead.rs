@@ -12,11 +12,10 @@
 //! overhead.
 
 use bifrost_core::routing::RoutingMode;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Processing-cost parameters of a proxy instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadModel {
     /// Base cost of accepting and forwarding a request (milliseconds).
     pub forward_ms: f64,

@@ -33,7 +33,6 @@ use bifrost_core::ids::{UserId, VersionId};
 use bifrost_core::routing::{DarkLaunchRoute, RoutingMode, TrafficSplit};
 use bifrost_core::user::{User, UserSelector};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -44,7 +43,7 @@ use std::time::Duration;
 /// and `BTreeMap`-keyed tallies — both independent of shard count and shard
 /// iteration order, so a 16-shard proxy reports exactly the statistics of a
 /// 1-shard proxy over the same traffic.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProxyStats {
     /// Total requests routed.
     pub requests: u64,

@@ -2,7 +2,6 @@
 
 use crate::session::SessionToken;
 use bifrost_core::ids::{UserId, VersionId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Name of the cookie the proxy uses to re-identify clients.
@@ -13,7 +12,7 @@ pub const GROUP_HEADER: &str = "x-bifrost-group";
 
 /// A request as it arrives at a Bifrost proxy: the (simulated) client's user
 /// id, its cookies, and selected headers.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProxyRequest {
     /// The authenticated user issuing the request, if known.
     pub user: Option<UserId>,
@@ -93,14 +92,14 @@ fn parse_token(raw: &str) -> Option<SessionToken> {
 
 /// A duplicated ("shadowed") copy of the request produced by a dark-launch
 /// route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShadowCopy {
     /// The version receiving the duplicated traffic.
     pub target: VersionId,
 }
 
 /// The outcome of the proxy's per-request decision process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingDecision {
     /// The version serving the client-visible response.
     pub primary: VersionId,

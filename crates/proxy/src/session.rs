@@ -21,7 +21,6 @@
 use bifrost_core::hash;
 use bifrost_core::ids::VersionId;
 use parking_lot::{Mutex, MutexGuard};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -31,7 +30,7 @@ use std::fmt;
 /// (a splitmix64 step formatted as a version-4 UUID), which keeps simulated
 /// experiments reproducible while preserving the uniqueness property the
 /// proxy relies on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionToken(u128);
 
 impl SessionToken {
@@ -83,7 +82,7 @@ impl fmt::Display for SessionToken {
 }
 
 /// Deterministic token generator (one per proxy).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TokenGenerator {
     state: u64,
 }

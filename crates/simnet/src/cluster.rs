@@ -12,13 +12,12 @@ use crate::network::NetworkModel;
 use crate::rng::SimRng;
 use crate::time::SimTime;
 use bifrost_metrics::{ResourceCollector, ResourceSample, SharedMetricStore};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
 /// Identifies a virtual machine of the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(u32);
 
 impl VmId {
@@ -40,7 +39,7 @@ impl fmt::Display for VmId {
 }
 
 /// Identifies a container running on some VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContainerId(u32);
 
 impl ContainerId {
@@ -62,7 +61,7 @@ impl fmt::Display for ContainerId {
 }
 
 /// A virtual machine: a named host with a CPU and a fixed memory capacity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vm {
     id: VmId,
     name: String,
@@ -94,7 +93,7 @@ impl Vm {
 
 /// What runs inside a container: a display name plus a baseline memory
 /// footprint used for the memory series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceSpec {
     /// The container/application name (used as the `container` label).
     pub name: String,
@@ -119,7 +118,7 @@ impl InstanceSpec {
 }
 
 /// A container placed on a VM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Container {
     id: ContainerId,
     vm: VmId,

@@ -15,13 +15,12 @@
 //! index wins.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Duration;
 
 /// The result of submitting a piece of work to a CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkReceipt {
     /// When the work arrived.
     pub arrived: SimTime,
@@ -47,7 +46,7 @@ impl WorkReceipt {
 /// core. Work is dispatched to the earliest-available core, the lowest core
 /// index breaking ties, by popping the minimum of a heap of
 /// `(free_at, core index)` pairs — O(log cores) per submission.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpuResource {
     /// Every core as `(earliest time it becomes idle again, core index)`,
     /// smallest pair on top.

@@ -7,11 +7,10 @@
 //! colocated containers (same VM) getting a cheaper loopback path.
 
 use crate::rng::SimRng;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Parameters of a single network hop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// Fixed one-way latency in milliseconds.
     pub base_ms: f64,
@@ -57,7 +56,7 @@ impl LatencyModel {
 
 /// The cluster-wide network model: which latency applies between two
 /// containers depending on placement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Latency between containers on different VMs.
     pub remote: LatencyModel,

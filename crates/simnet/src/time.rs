@@ -1,7 +1,6 @@
 //! Virtual time with microsecond resolution.
 
 use bifrost_metrics::TimestampMs;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
@@ -11,9 +10,7 @@ use std::time::Duration;
 ///
 /// Microsecond resolution keeps sub-millisecond proxy overheads and CPU slices
 /// representable while still allowing multi-day experiments within `u64`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

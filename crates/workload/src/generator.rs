@@ -5,11 +5,10 @@ use crate::requests::{RequestKind, RequestMix};
 use bifrost_core::ids::UserId;
 use bifrost_core::seed::Seed;
 use bifrost_simnet::{SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// The load profile of an experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadProfile {
     /// Steady-state request rate (requests per second).
     pub requests_per_second: f64,
@@ -108,7 +107,7 @@ impl LoadProfile {
 }
 
 /// One planned request arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
     /// When the request arrives at the application entry point.
     pub at: SimTime,
@@ -119,7 +118,7 @@ pub struct Arrival {
 }
 
 /// A complete, time-ordered arrival plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalPlan {
     arrivals: Vec<Arrival>,
 }

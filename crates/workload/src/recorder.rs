@@ -8,11 +8,10 @@
 use crate::requests::RequestKind;
 use bifrost_metrics::{moving_average, SummaryStats};
 use bifrost_simnet::SimTime;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// One recorded request/response pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResponseRecord {
     /// When the request entered the system.
     pub at: SimTime,
@@ -25,7 +24,7 @@ pub struct ResponseRecord {
 }
 
 /// A named time window of the experiment (one release phase).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseWindow {
     /// The phase name (e.g. `"Canary"`).
     pub name: String,
@@ -52,7 +51,7 @@ impl PhaseWindow {
 }
 
 /// Records response times and produces the evaluation's aggregates.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResponseRecorder {
     records: Vec<ResponseRecord>,
 }

@@ -1,11 +1,10 @@
 //! The request types of the case-study workload and their mix.
 
 use bifrost_simnet::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// The four request types of the JMeter test suite, each touching different
 /// parts of the case-study application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RequestKind {
     /// `POST /products/{id}/buy`: writes to the database, empty response
     /// body.
@@ -71,7 +70,7 @@ impl RequestKind {
 }
 
 /// A probability mix over request kinds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestMix {
     weights: [(RequestKind, f64); 4],
 }
