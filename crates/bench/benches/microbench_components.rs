@@ -1,6 +1,6 @@
 //! Component micro-benchmarks: the hot paths of the middleware itself
 //! (threshold classification, traffic-split picking, proxy routing, metric
-//! store queries, DSL parsing, automaton transitions).
+//! store queries, DSL parsing, the engine's event queue).
 
 use bifrost_core::prelude::*;
 use bifrost_metrics::{Aggregation, RangeQuery, Sample, SeriesKey, SharedMetricStore, TimestampMs};
@@ -83,15 +83,15 @@ fn bench_dsl_parse(c: &mut Criterion) {
 }
 
 fn bench_scheduler(c: &mut Criterion) {
-    c.bench_function("scheduler_schedule_pop_1000", |b| {
+    c.bench_function("event_queue_schedule_pop_1000", |b| {
         b.iter(|| {
-            let mut scheduler: bifrost_simnet::Scheduler<u64> = bifrost_simnet::Scheduler::new();
+            let mut queue: bifrost_engine::EventQueue<u64> = bifrost_engine::EventQueue::new();
             for i in 0..1_000u64 {
-                scheduler.schedule_at(SimTime::from_millis((i * 37) % 10_000), i);
+                queue.schedule_at(SimTime::from_millis((i * 37) % 10_000), i);
             }
             let mut sum = 0u64;
-            while let Some(event) = scheduler.pop() {
-                sum = sum.wrapping_add(event.payload);
+            while let Some(due) = queue.pop() {
+                sum = sum.wrapping_add(due.action);
             }
             criterion::black_box(sum)
         });

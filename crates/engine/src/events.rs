@@ -3,12 +3,9 @@
 //!
 //! [`EventQueue`] is the engine's time-ordered scheduler — a binary heap of
 //! `(fire time, sequence, action)` entries with a FIFO tie-break, popped in
-//! strictly non-decreasing time order. It deliberately mirrors the heap
-//! design of the generic `bifrost_simnet::Scheduler` (same ordering and
-//! past-clamping semantics) but lives in the engine so the hot loop owns
-//! its queue: engine-specific affordances like [`EventQueue::schedule_batch`]
-//! (the per-state check-timer fan-out reserves heap capacity once) can be
-//! added without widening the cross-crate generic API. The engine-side
+//! strictly non-decreasing time order; actions scheduled in the past are
+//! clamped to the current time. [`EventQueue::schedule_batch`] lets the
+//! per-state check-timer fan-out reserve heap capacity once. The engine-side
 //! *algorithmic* wins of this layer are elsewhere: the O(1)
 //! `BifrostEngine::all_finished` counter and the indexed [`EventLog`]
 //! below.
