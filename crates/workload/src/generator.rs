@@ -63,8 +63,16 @@ impl LoadProfile {
     }
 
     /// Generates the full arrival plan for the profile.
+    ///
+    /// A `requests_per_second` that is negative (including `-0.0`), NaN or
+    /// infinite yields an empty plan; a rate of zero still emits the ramp-up
+    /// arrivals. Users are drawn as if `user_count` were at least 1.
     pub fn plan(&self, rng: &mut SimRng) -> ArrivalPlan {
         let mut arrivals = Vec::new();
+        if !(self.requests_per_second.is_finite() && self.requests_per_second.is_sign_positive()) {
+            return ArrivalPlan { arrivals };
+        }
+        let users = self.user_count.max(1);
         let mut now = 0.0f64;
         let end = self.duration.as_secs_f64();
         let ramp = self.ramp_up.as_secs_f64();
@@ -85,8 +93,7 @@ impl LoadProfile {
                 break;
             }
             let kind = self.mix.sample(rng);
-            let user =
-                UserId::new((rng.uniform() * self.user_count as f64) as u64 % self.user_count);
+            let user = UserId::new((rng.uniform() * users as f64) as u64 % users);
             arrivals.push(Arrival {
                 at: SimTime::from_secs_f64(now),
                 kind,
