@@ -103,13 +103,15 @@ fn suite_reports_are_thread_count_invariant() {
     let base = RunnerConfig::default()
         .with_trials(4)
         .with_base_seed(Seed::new(7));
-    let serial = suite::run_figure("fig9", true, Some(80), None, &base.with_threads(1)).unwrap();
-    let parallel = suite::run_figure("fig9", true, Some(80), None, &base.with_threads(4)).unwrap();
-    assert_eq!(serial.points.len(), parallel.points.len());
-    for (a, b) in serial.points.iter().zip(&parallel.points) {
-        assert_eq!(a.point, b.point);
-        assert_eq!(a.samples, b.samples, "point {} diverged", a.point);
-        assert_eq!(a.stats, b.stats);
+    for (figure, max) in [("fig9", Some(80)), ("fig6", None)] {
+        let serial = suite::run_figure(figure, true, max, None, &base.with_threads(1)).unwrap();
+        let parallel = suite::run_figure(figure, true, max, None, &base.with_threads(4)).unwrap();
+        assert_eq!(serial.points.len(), parallel.points.len());
+        for (a, b) in serial.points.iter().zip(&parallel.points) {
+            assert_eq!(a.point, b.point);
+            assert_eq!(a.samples, b.samples, "{figure} point {} diverged", a.point);
+            assert_eq!(a.stats, b.stats);
+        }
     }
 }
 

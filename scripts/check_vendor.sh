@@ -6,7 +6,10 @@
 #   2. every external entry in [workspace.dependencies] resolves to a
 #      vendor/ path (nothing silently points back at crates.io),
 #   3. every vendored path exists and its package name matches the
-#      dependency key it stands in for.
+#      dependency key it stands in for,
+#   4. every vendor crate is wired into [workspace.dependencies] and is a
+#      dependency of at least one workspace crate, so a dead stub fails
+#      here instead of lingering.
 #
 # Run from the repository root (CI does). Exits non-zero on the first
 # mismatch, printing every problem found.
@@ -51,14 +54,22 @@ while read -r name path; do
     fi
 done <<< "$deps"
 
-# --- every vendor crate is actually consumed -------------------------------
+# --- 4. every vendor crate is actually consumed -----------------------------
+# Workspace crate manifests: the root package plus every non-vendor member.
+members=$(sed -n '/^members[[:space:]]*=/,/^]/s/^[[:space:]]*"\([^"]*\)".*/\1/p' "$manifest" | grep -v '^vendor/')
+crate_manifests="$manifest"
+for member in $members; do
+    crate_manifests="$crate_manifests $member/Cargo.toml"
+done
+
 for dir in vendor/*/; do
     crate_name=$(sed -n 's/^name[[:space:]]*=[[:space:]]*"\(.*\)"/\1/p' "${dir}Cargo.toml" | head -1)
-    # serde_derive is consumed by the serde stub, not by the workspace
-    # manifest directly.
-    [ "$crate_name" = "serde_derive" ] && continue
     if ! echo "$deps" | grep -q "^$crate_name "; then
         fail "vendor crate '$crate_name' is not wired into [workspace.dependencies]"
+    fi
+    # shellcheck disable=SC2086 # word-splitting the manifest list is intended
+    if ! grep -Eq "^[[:space:]]*$crate_name([.]workspace[[:space:]]*=[[:space:]]*true|[[:space:]]*=[[:space:]]*\{[^}]*workspace[[:space:]]*=[[:space:]]*true)" $crate_manifests; then
+        fail "vendor crate '$crate_name' is not a dependency of any workspace crate"
     fi
 done
 
