@@ -8,6 +8,12 @@
 //! fastSearch). Bifrost proxies can be deployed in front of the product and
 //! search services; when they are, every request to those services pays the
 //! proxy's processing cost and follows its routing decision.
+//!
+//! Every container runs on its own single-core node (an `n1-standard-1` VM
+//! of the paper's testbed), so CPU work queues only behind other work of the
+//! same container. Every hop between two nodes costs
+//! `normal(0.5 + 0.01 · KiB, 0.1)` ms of network latency, clamped at zero,
+//! where `KiB` is the payload size.
 
 use crate::model::{ServiceCosts, VersionBehavior};
 use bifrost_core::ids::{ServiceId, UserId, VersionId};
@@ -15,7 +21,7 @@ use bifrost_core::service::{Endpoint, Service, ServiceCatalog, ServiceVersion};
 use bifrost_engine::ProxyHandle;
 use bifrost_metrics::{SeriesKey, SharedMetricStore};
 use bifrost_proxy::{ProxyRequest, RoutingDecision};
-use bifrost_simnet::{Cluster, ContainerId, InstanceSpec, SimRng, SimTime};
+use bifrost_simnet::{CpuResource, SimRng, SimTime};
 use bifrost_workload::{RequestKind, ResponseRecord};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -110,21 +116,40 @@ impl Default for CaseStudyTopology {
     }
 }
 
+/// One container on its own single-core VM.
+#[derive(Debug)]
+struct Node {
+    /// The `container` label of the node's resource series.
+    name: &'static str,
+    cpu: CpuResource,
+    /// CPU time consumed since the last resource scrape.
+    busy_since_scrape: Duration,
+}
+
+/// Fixed one-way latency of a network hop, in milliseconds.
+const HOP_BASE_MS: f64 = 0.5;
+/// Additional hop latency per KiB of payload, in milliseconds.
+const HOP_PER_KIB_MS: f64 = 0.01;
+/// Standard deviation of the hop jitter, in milliseconds.
+const HOP_JITTER_MS: f64 = 0.1;
+
 /// The simulated application.
 #[derive(Debug)]
 pub struct CaseStudyApp {
     topology: CaseStudyTopology,
-    cluster: Cluster,
     costs: ServiceCosts,
     proxy_deployment: ProxyDeployment,
-    // Containers.
-    nginx: ContainerId,
-    auth: ContainerId,
-    mongo: ContainerId,
-    product_proxy_container: Option<ContainerId>,
-    search_proxy_container: Option<ContainerId>,
-    version_containers: BTreeMap<VersionId, ContainerId>,
+    // Nodes, indexed by the fields below.
+    nodes: Vec<Node>,
+    nginx: usize,
+    auth: usize,
+    mongo: usize,
+    product_proxy_node: Option<usize>,
+    search_proxy_node: Option<usize>,
+    version_nodes: BTreeMap<VersionId, usize>,
     version_behaviors: BTreeMap<VersionId, VersionBehavior>,
+    network_rng: SimRng,
+    last_scrape: SimTime,
     // Proxies (shared with the engine).
     product_proxy: Option<ProxyHandle>,
     search_proxy: Option<ProxyHandle>,
@@ -143,38 +168,40 @@ impl CaseStudyApp {
     /// every container on its own single-core VM.
     pub fn deploy(store: SharedMetricStore, proxy_deployment: ProxyDeployment, seed: u64) -> Self {
         let topology = CaseStudyTopology::new();
-        let mut cluster = Cluster::new(store.clone(), seed);
-
-        let place = |cluster: &mut Cluster, name: &str| {
-            let vm = cluster.add_standard_vm(format!("vm-{name}"));
-            cluster.add_container(vm, InstanceSpec::new(name))
+        let mut nodes = Vec::new();
+        let mut place = |name: &'static str| {
+            nodes.push(Node {
+                name,
+                cpu: CpuResource::single_core(),
+                busy_since_scrape: Duration::ZERO,
+            });
+            nodes.len() - 1
         };
 
-        let nginx = place(&mut cluster, "nginx");
-        let _frontend = place(&mut cluster, "frontend");
-        let auth = place(&mut cluster, "auth");
-        let mongo = place(&mut cluster, "mongodb");
-        let _prometheus = place(&mut cluster, "prometheus");
-        let product_stable_c = place(&mut cluster, "product");
-        let product_a_c = place(&mut cluster, "product-a");
-        let product_b_c = place(&mut cluster, "product-b");
-        let search_c = place(&mut cluster, "search");
-        let fast_search_c = place(&mut cluster, "fastsearch");
+        let nginx = place("nginx");
+        let _frontend = place("frontend");
+        let auth = place("auth");
+        let mongo = place("mongodb");
+        let _prometheus = place("prometheus");
+        let product_stable_n = place("product");
+        let product_a_n = place("product-a");
+        let product_b_n = place("product-b");
+        let search_n = place("search");
+        let fast_search_n = place("fastsearch");
 
-        let (product_proxy_container, search_proxy_container) = match proxy_deployment {
+        let (product_proxy_node, search_proxy_node) = match proxy_deployment {
             ProxyDeployment::None => (None, None),
-            ProxyDeployment::Deployed => (
-                Some(place(&mut cluster, "product-proxy")),
-                Some(place(&mut cluster, "search-proxy")),
-            ),
+            ProxyDeployment::Deployed => {
+                (Some(place("product-proxy")), Some(place("search-proxy")))
+            }
         };
 
-        let mut version_containers = BTreeMap::new();
-        version_containers.insert(topology.product_stable, product_stable_c);
-        version_containers.insert(topology.product_a, product_a_c);
-        version_containers.insert(topology.product_b, product_b_c);
-        version_containers.insert(topology.search_stable, search_c);
-        version_containers.insert(topology.fast_search, fast_search_c);
+        let mut version_nodes = BTreeMap::new();
+        version_nodes.insert(topology.product_stable, product_stable_n);
+        version_nodes.insert(topology.product_a, product_a_n);
+        version_nodes.insert(topology.product_b, product_b_n);
+        version_nodes.insert(topology.search_stable, search_n);
+        version_nodes.insert(topology.fast_search, fast_search_n);
 
         let mut version_behaviors = BTreeMap::new();
         version_behaviors.insert(topology.product_stable, VersionBehavior::stable());
@@ -185,16 +212,18 @@ impl CaseStudyApp {
 
         let mut app = Self {
             topology,
-            cluster,
             costs: ServiceCosts::calibrated(),
             proxy_deployment,
+            nodes,
             nginx,
             auth,
             mongo,
-            product_proxy_container,
-            search_proxy_container,
-            version_containers,
+            product_proxy_node,
+            search_proxy_node,
+            version_nodes,
             version_behaviors,
+            network_rng: SimRng::seeded(seed),
+            last_scrape: SimTime::ZERO,
             product_proxy: None,
             search_proxy: None,
             store,
@@ -206,7 +235,7 @@ impl CaseStudyApp {
         // Prometheus client libraries register counters at zero on service
         // start-up. Checks that look at error counts therefore see "0" rather
         // than "no data" before the first request arrives.
-        let versions: Vec<VersionId> = app.version_containers.keys().copied().collect();
+        let versions: Vec<VersionId> = app.version_nodes.keys().copied().collect();
         for version in versions {
             let name = app.version_name(version).to_string();
             for metric in ["request_errors", "requests_total", "items_sold_total"] {
@@ -246,17 +275,47 @@ impl CaseStudyApp {
         self.requests_served
     }
 
-    /// Access to the underlying cluster (for resource scraping).
-    pub fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.cluster
-    }
-
-    /// Scrapes per-container resource metrics (the cAdvisor role) and
+    /// Scrapes per-container CPU utilisation (the cAdvisor role) and
     /// re-publishes the application counters (the Prometheus scrape loop), so
     /// that windowed queries always find a sample even in quiet periods.
+    ///
+    /// A container's utilisation is its busy time within the scrape window
+    /// relative to its one core, in percent, capped at 100.
     pub fn scrape_resources(&mut self, now: SimTime) {
-        self.cluster.scrape_resources(now);
+        let window_secs = (now - self.last_scrape).as_secs_f64();
+        for node in &mut self.nodes {
+            let cpu_percent = if window_secs > 0.0 {
+                (node.busy_since_scrape.as_secs_f64() / window_secs * 100.0).min(100.0)
+            } else {
+                0.0
+            };
+            self.store.record_value(
+                SeriesKey::new("container_cpu_utilization").with_label("container", node.name),
+                now.to_timestamp(),
+                cpu_percent,
+            );
+            node.busy_since_scrape = Duration::ZERO;
+        }
+        self.last_scrape = now;
         self.publish_counters(now);
+    }
+
+    /// Runs `demand` of CPU work on `node`, arriving at `at`, and returns
+    /// when it completes (after queueing behind the node's earlier work).
+    fn execute(&mut self, node: usize, at: SimTime, demand: Duration) -> SimTime {
+        let node = &mut self.nodes[node];
+        node.busy_since_scrape += demand;
+        node.cpu.submit(at, demand).completed
+    }
+
+    /// The latency of one network hop between two nodes carrying
+    /// `payload_bytes`.
+    fn hop(&mut self, payload_bytes: usize) -> Duration {
+        let kib = payload_bytes as f64 / 1024.0;
+        let ms = self
+            .network_rng
+            .normal(HOP_BASE_MS + HOP_PER_KIB_MS * kib, HOP_JITTER_MS);
+        Duration::from_secs_f64(ms.max(0.0) / 1_000.0)
     }
 
     /// Writes the current value of every application counter into the store.
@@ -303,85 +362,53 @@ impl CaseStudyApp {
         let mut now = at;
         // Client → nginx.
         now += self.costs.client_link();
-        let nginx_receipt = self
-            .cluster
-            .execute(self.nginx, now, self.costs.nginx_demand());
-        now = nginx_receipt.completed;
+        now = self.execute(self.nginx, now, self.costs.nginx_demand());
 
         // nginx → product (possibly through the Bifrost proxy).
         let (product_version, shadows, proxy_cost) = self.route_product(user);
-        if let Some(proxy_container) = self.product_proxy_container {
-            now += self
-                .cluster
-                .network_hop(self.nginx, proxy_container, kind.request_bytes());
-            let receipt = self.cluster.execute(proxy_container, now, proxy_cost);
-            now = receipt.completed;
+        if let Some(proxy_node) = self.product_proxy_node {
+            now += self.hop(kind.request_bytes());
+            now = self.execute(proxy_node, now, proxy_cost);
         }
-        let product_container = self.version_containers[&product_version];
+        let product_node = self.version_nodes[&product_version];
         let behavior = self.version_behaviors[&product_version];
-        now += self
-            .cluster
-            .network_hop(self.nginx, product_container, kind.request_bytes());
-        let product_receipt = self.cluster.execute(
-            product_container,
+        now += self.hop(kind.request_bytes());
+        now = self.execute(
+            product_node,
             now,
             behavior.scale(self.costs.product_demand(kind)),
         );
-        now = product_receipt.completed;
 
         // product → auth (token validation) and back.
-        now += self.cluster.network_hop(product_container, self.auth, 256);
-        let auth_receipt = self
-            .cluster
-            .execute(self.auth, now, self.costs.auth_demand());
-        now = auth_receipt.completed;
-        now += self.cluster.network_hop(self.auth, product_container, 128);
+        now += self.hop(256);
+        now = self.execute(self.auth, now, self.costs.auth_demand());
+        now += self.hop(128);
 
         // product → MongoDB and back.
-        now += self
-            .cluster
-            .network_hop(product_container, self.mongo, kind.request_bytes());
-        let db_receipt = self
-            .cluster
-            .execute(self.mongo, now, self.costs.db_demand(kind));
-        now = db_receipt.completed;
-        now += self
-            .cluster
-            .network_hop(self.mongo, product_container, kind.response_bytes() / 4);
+        now += self.hop(kind.request_bytes());
+        now = self.execute(self.mongo, now, self.costs.db_demand(kind));
+        now += self.hop(kind.response_bytes() / 4);
 
         // Search requests additionally fan out to the search service.
         if kind.touches_search() {
             let (search_version, search_shadows, search_proxy_cost) = self.route_search(user);
-            if let Some(proxy_container) = self.search_proxy_container {
-                now += self
-                    .cluster
-                    .network_hop(product_container, proxy_container, 256);
-                let receipt = self
-                    .cluster
-                    .execute(proxy_container, now, search_proxy_cost);
-                now = receipt.completed;
+            if let Some(proxy_node) = self.search_proxy_node {
+                now += self.hop(256);
+                now = self.execute(proxy_node, now, search_proxy_cost);
             }
-            let search_container = self.version_containers[&search_version];
+            let search_node = self.version_nodes[&search_version];
             let search_behavior = self.version_behaviors[&search_version];
-            now += self
-                .cluster
-                .network_hop(product_container, search_container, 256);
-            let search_receipt = self.cluster.execute(
-                search_container,
+            now += self.hop(256);
+            now = self.execute(
+                search_node,
                 now,
                 search_behavior.scale(self.costs.search_demand()),
             );
-            now = search_receipt.completed;
             // Search hits the database too.
-            now += self.cluster.network_hop(search_container, self.mongo, 128);
-            let db =
-                self.cluster
-                    .execute(self.mongo, now, self.costs.db_demand(RequestKind::Details));
-            now = db.completed;
-            now += self.cluster.network_hop(self.mongo, search_container, 1024);
-            now += self
-                .cluster
-                .network_hop(search_container, product_container, 1024);
+            now += self.hop(128);
+            now = self.execute(self.mongo, now, self.costs.db_demand(RequestKind::Details));
+            now += self.hop(1024);
+            now += self.hop(1024);
             // Shadow copies of the search call (dark-launched fastSearch).
             for shadow in search_shadows {
                 self.execute_shadow_search(at, shadow);
@@ -389,9 +416,7 @@ impl CaseStudyApp {
         }
 
         // Response travels back to the client.
-        now += self
-            .cluster
-            .network_hop(product_container, self.nginx, kind.response_bytes());
+        now += self.hop(kind.response_bytes());
         now += self.costs.client_link();
 
         // Shadow copies of the product request (dark launch): they replay the
@@ -437,22 +462,15 @@ impl CaseStudyApp {
 
     /// Executes the duplicated work of a dark-launched product request.
     fn execute_shadow_product(&mut self, at: SimTime, target: VersionId, kind: RequestKind) {
-        let Some(&container) = self.version_containers.get(&target) else {
+        let Some(&node) = self.version_nodes.get(&target) else {
             return;
         };
         let behavior = self.version_behaviors[&target];
-        let product = self.cluster.execute(
-            container,
-            at,
-            behavior.scale(self.costs.product_demand(kind)),
-        );
+        let product = self.execute(node, at, behavior.scale(self.costs.product_demand(kind)));
         // The shadow also validates the token and reads the database — the
         // "three requests need to be shadowed" of the paper.
-        let auth = self
-            .cluster
-            .execute(self.auth, product.completed, self.costs.auth_demand());
-        self.cluster
-            .execute(self.mongo, auth.completed, self.costs.db_demand(kind));
+        let auth = self.execute(self.auth, product, self.costs.auth_demand());
+        self.execute(self.mongo, auth, self.costs.db_demand(kind));
         self.store.increment(
             SeriesKey::new("shadow_requests_total")
                 .with_label("version", self.version_name(target)),
@@ -463,16 +481,14 @@ impl CaseStudyApp {
 
     /// Executes the duplicated work of a dark-launched search request.
     fn execute_shadow_search(&mut self, at: SimTime, target: VersionId) {
-        let Some(&container) = self.version_containers.get(&target) else {
+        let Some(&node) = self.version_nodes.get(&target) else {
             return;
         };
         let behavior = self.version_behaviors[&target];
-        let search =
-            self.cluster
-                .execute(container, at, behavior.scale(self.costs.search_demand()));
-        self.cluster.execute(
+        let search = self.execute(node, at, behavior.scale(self.costs.search_demand()));
+        self.execute(
             self.mongo,
-            search.completed,
+            search,
             self.costs.db_demand(RequestKind::Details),
         );
     }
@@ -758,13 +774,41 @@ mod tests {
             );
         }
         app.scrape_resources(SimTime::from_secs(2));
-        let cpu = store.evaluate(
-            &RangeQuery::new("container_cpu_utilization")
-                .with_label("container", "product")
-                .aggregate(Aggregation::Last),
-            SimTime::from_secs(3).to_timestamp(),
-        );
-        assert!(cpu.is_some());
-        assert!(cpu.unwrap() > 0.0);
+        let cpu = |container: &str, at: u64| {
+            store.evaluate(
+                &RangeQuery::new("container_cpu_utilization")
+                    .with_label("container", container)
+                    .aggregate(Aggregation::Last),
+                SimTime::from_secs(at).to_timestamp(),
+            )
+        };
+        assert!(cpu("product", 3).unwrap() > 0.0);
+
+        // 500 ms of work on one node reads exactly 50% at a 1-s scrape...
+        let frontend = app.nodes.iter().position(|n| n.name == "frontend").unwrap();
+        app.execute(frontend, SimTime::from_secs(2), Duration::from_millis(500));
+        app.scrape_resources(SimTime::from_secs(3));
+        let value = cpu("frontend", 4).unwrap();
+        assert!((value - 50.0).abs() < 1e-9, "{value}");
+        // ...and a quiet next window reads zero.
+        app.scrape_resources(SimTime::from_secs(4));
+        assert_eq!(cpu("frontend", 5), Some(0.0));
+    }
+
+    #[test]
+    fn hop_latency_mean_matches_payload_model() {
+        let mut app = CaseStudyApp::deploy(SharedMetricStore::new(), ProxyDeployment::None, 5);
+        for kib in [1, 10] {
+            let n = 2_000;
+            let mean_ms = (0..n)
+                .map(|_| app.hop(kib * 1024).as_secs_f64() * 1_000.0)
+                .sum::<f64>()
+                / n as f64;
+            let expected_ms = 0.5 + 0.01 * kib as f64;
+            assert!(
+                (mean_ms - expected_ms).abs() < 0.1,
+                "{kib} KiB: mean {mean_ms} vs {expected_ms}"
+            );
+        }
     }
 }

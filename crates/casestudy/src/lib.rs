@@ -15,8 +15,8 @@
 //!
 //! The application topology mirrors the paper: an nginx entry point, an
 //! HTML/JS frontend, three REST services (product, search, auth), MongoDB,
-//! Prometheus (the shared metric store), and cAdvisor (the cluster's
-//! resource scraper). The product service exists in three versions (stable,
+//! Prometheus (the shared metric store), and cAdvisor (the app's
+//! per-container CPU scrape). The product service exists in three versions (stable,
 //! product A, product B); the search service in two (stable, fastSearch).
 
 #![forbid(unsafe_code)]

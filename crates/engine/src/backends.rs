@@ -26,6 +26,7 @@
 //! server sheds load. All of it is deterministic — the only randomness
 //! (demand jitter, error draws) lives in the traffic stream's seeded RNGs.
 
+use crate::traffic::normalized_error_rate;
 use bifrost_core::ids::{ServiceId, VersionId};
 use bifrost_simnet::{CpuResource, SimTime, WorkReceipt};
 use std::collections::{BTreeMap, VecDeque};
@@ -73,11 +74,7 @@ impl QueuedBackend {
     /// Overrides the intrinsic error rate (builder style, clamped to
     /// `[0, 1]`).
     pub fn with_error_rate(mut self, error_rate: f64) -> Self {
-        self.error_rate = if error_rate.is_nan() {
-            0.0
-        } else {
-            error_rate.clamp(0.0, 1.0)
-        };
+        self.error_rate = normalized_error_rate(error_rate);
         self
     }
 

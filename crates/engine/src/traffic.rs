@@ -68,7 +68,7 @@ impl BackendProfile {
     pub fn defective(service_time: Duration, error_rate: f64) -> Self {
         Self {
             service_time,
-            error_rate: error_rate.clamp(0.0, 1.0),
+            error_rate: normalized_error_rate(error_rate),
         }
     }
 }
@@ -622,7 +622,7 @@ enum ServeOutcome {
 /// Normalises a configured error rate at the draw point: `NaN` counts as
 /// zero, anything else is clamped to `[0, 1]` (the public profile fields
 /// allow direct construction with out-of-range values).
-fn normalized_error_rate(error_rate: f64) -> f64 {
+pub(crate) fn normalized_error_rate(error_rate: f64) -> f64 {
     if error_rate.is_nan() {
         0.0
     } else {
@@ -662,6 +662,8 @@ mod tests {
         assert_eq!(healthy.error_rate, 0.0);
         let bad = BackendProfile::defective(Duration::from_millis(50), 7.0);
         assert_eq!(bad.error_rate, 1.0);
+        let nan = BackendProfile::defective(Duration::from_millis(50), f64::NAN);
+        assert_eq!(nan.error_rate, 0.0);
         assert_eq!(
             BackendProfile::default().service_time,
             Duration::from_millis(10)

@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`core`] | `bifrost-core` | the formal model: strategies, automata, states, checks, thresholds, routing configuration |
 //! | [`metrics`] | `bifrost-metrics` | the monitoring substrate: time-series store, Prometheus-flavoured queries, providers, summary statistics |
-//! | [`simnet`] | `bifrost-simnet` | the deterministic cluster simulator: virtual time, VMs/containers, CPU and network models |
+//! | [`simnet`] | `bifrost-simnet` | the deterministic simulation substrate: virtual time, CPU contention model, seeded RNG |
 //! | [`proxy`] | `bifrost-proxy` | the routing proxy: traffic splits, sticky sessions, dark-launch duplication, overhead model |
 //! | [`engine`] | `bifrost-engine` | the enactment engine: strategy scheduling, timed checks, transitions, proxy configuration |
 //! | [`dsl`] | `bifrost-dsl` | the YAML-based strategy DSL: parser, document model, compiler |
@@ -73,7 +73,7 @@ pub use bifrost_engine as engine;
 pub use bifrost_metrics as metrics;
 /// The routing proxy (`bifrost-proxy`).
 pub use bifrost_proxy as proxy;
-/// The deterministic cluster simulator (`bifrost-simnet`).
+/// The deterministic simulation substrate (`bifrost-simnet`).
 pub use bifrost_simnet as simnet;
 /// The load generator and response recorder (`bifrost-workload`).
 pub use bifrost_workload as workload;
