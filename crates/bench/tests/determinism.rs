@@ -118,9 +118,23 @@ fn suite_reports_are_thread_count_invariant() {
 /// One sticky-traffic trial over the **sharded** session store: a sticky
 /// canary split followed by a dark launch, with seeded request-level
 /// traffic routed through a proxy sharded `shards` ways. Returns the full
-/// Debug rendering of the traffic statistics and the proxy's merged
-/// counters, so comparisons are byte-level.
+/// Debug rendering of the traffic statistics and the proxy's counters, so
+/// comparisons are byte-level.
 fn sharded_traffic_trial(seed: Seed, shards: usize) -> String {
+    run_sharded_traffic(seed, shards).rendering
+}
+
+/// What [`sharded_traffic_trial`] observed, beyond its rendering.
+struct ShardedTraffic {
+    rendering: String,
+    proxy_stats: bifrost_proxy::ProxyStats,
+    /// Whether the proxy held a sticky split at t = 20 s (inside the canary).
+    sticky_at_20s: bool,
+    /// Live session bindings at t = 20 s.
+    sessions_at_20s: usize,
+}
+
+fn run_sharded_traffic(seed: Seed, shards: usize) -> ShardedTraffic {
     use bifrost_core::prelude::*;
     use bifrost_engine::TrafficProfile;
     use bifrost_workload::{LoadProfile, RequestMix};
@@ -183,14 +197,22 @@ fn sharded_traffic_trial(seed: Seed, shards: usize) -> String {
     engine.register_proxy(product, stable);
     engine.schedule(strategy, SimTime::ZERO);
     let traffic = engine.attach_traffic(TrafficProfile::new(product, load), store);
-    engine.run_until(SimTime::from_secs(70));
     let proxy = engine.proxy(product).expect("registered");
+    engine.run_until(SimTime::from_secs(20));
+    let sticky_at_20s = proxy.read().config().requires_sticky_sessions();
+    let sessions_at_20s = proxy.read().sessions().len();
+    engine.run_until(SimTime::from_secs(70));
     let proxy_stats = proxy.read().stats();
-    format!(
-        "{:?} | {:?}",
-        engine.traffic_stats(traffic).expect("attached"),
-        proxy_stats
-    )
+    ShardedTraffic {
+        rendering: format!(
+            "{:?} | {:?}",
+            engine.traffic_stats(traffic).expect("attached"),
+            proxy_stats
+        ),
+        proxy_stats,
+        sticky_at_20s,
+        sessions_at_20s,
+    }
 }
 
 #[test]
@@ -224,11 +246,19 @@ fn sharded_sticky_traffic_is_byte_identical_across_runner_threads() {
 fn shard_count_does_not_change_engine_traffic_results() {
     // The shard knob is a pure scalability control: 1-shard and 16-shard
     // engines report byte-identical traffic and proxy statistics.
-    let one = sharded_traffic_trial(Seed::new(77), 1);
-    let sixteen = sharded_traffic_trial(Seed::new(77), 16);
-    assert_eq!(one, sixteen);
-    // The rendering carries real content (sticky traffic flowed).
-    assert!(one.contains("sticky_hits"), "{one}");
+    let one = run_sharded_traffic(Seed::new(77), 1);
+    let sixteen = run_sharded_traffic(Seed::new(77), 16);
+    assert_eq!(one.rendering, sixteen.rendering);
+    // The run carries real content: both versions served requests and the
+    // dark launch duplicated some of them.
+    let served = &one.proxy_stats.per_version;
+    assert_eq!(served.len(), 2, "{}", one.rendering);
+    assert!(served.values().all(|&n| n > 0), "{}", one.rendering);
+    assert!(one.proxy_stats.shadow_copies > 0, "{}", one.rendering);
+    // Engine traffic is identified users only: inside the sticky canary
+    // they are bucketed on their user id and nobody is bound.
+    assert!(one.sticky_at_20s);
+    assert_eq!(one.sessions_at_20s, 0);
 }
 
 #[test]

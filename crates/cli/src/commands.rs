@@ -65,7 +65,8 @@ USAGE:
                 [--traffic <rps>] [--replicas N] [--queue-capacity N] [--timeout-ms N]
                                         enact the strategy against the simulated deployment
                                         (--shards overrides the session-store shard count,
-                                        also settable via the file's engine.session_shards;
+                                        which stripes anonymous sticky clients only; also
+                                        settable via the file's engine.session_shards;
                                         --traffic drives seeded request-level traffic through
                                         every proxied service, honouring the file's
                                         engine.tick/cores/backends; --replicas,

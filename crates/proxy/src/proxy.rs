@@ -6,43 +6,42 @@
 //!    routes on the value of the group header injected upstream (`A`/`B`
 //!    select the first/second version of the split; anything else falls back
 //!    to the default version).
-//! 2. With **cookie-based routing**, the proxy buckets the client itself. If
-//!    the request carries a known session cookie and sticky sessions are on,
-//!    the stored binding wins. Otherwise the client (or, for anonymous
-//!    requests, a fresh token) is hashed into the traffic split, and with
-//!    sticky sessions the binding is remembered and a `Set-Cookie` is
-//!    emitted.
+//! 2. With **cookie-based routing**, the proxy buckets the client itself, on
+//!    the first identity it has: the user id, then the carried session
+//!    token, then a freshly minted token. An identified user's bucket is a
+//!    pure draw on the user id, so it holds for the life of a configuration
+//!    without any stored state. An anonymous client's token is hashed into
+//!    the split; with sticky sessions a known token's stored binding wins,
+//!    and a new binding is remembered and sent back as a `Set-Cookie`.
 //! 3. Every applicable dark-launch rule adds a shadow copy of the request
 //!    with the configured probability.
 //!
 //! Routing takes `&self`: the sticky-session table is sharded behind
-//! striped locks (see [`crate::session`]) and the statistics counters are
-//! striped the same way, so concurrent callers holding read access to the
-//! proxy route in parallel and only contend per shard. Batch routing
-//! ([`BifrostProxy::route_many_costed`]) partitions each batch by session
-//! shard and takes one lock per *touched shard* instead of one global lock
-//! per batch — while producing byte-identical decisions, in the original
-//! request order, for every shard count.
+//! striped locks (see [`crate::session`]) and each `lookup`/`bind` locks
+//! only its token's shard, so concurrent callers holding read access to the
+//! proxy route in parallel. Batch routing
+//! ([`BifrostProxy::route_many_costed`]) routes in arrival order, takes the
+//! token-generator lock at most once, and folds its counters into the one
+//! statistics mutex once per batch.
 
 use crate::config::{ProxyConfig, ProxyRule};
 use crate::overhead::OverheadModel;
 use crate::request::{ProxyRequest, RoutingDecision, ShadowCopy};
-use crate::session::{SessionShard, SessionStore, SessionToken, TokenGenerator};
+use crate::session::{SessionStore, SessionToken, TokenGenerator};
 use bifrost_core::hash;
 use bifrost_core::ids::{UserId, VersionId};
 use bifrost_core::routing::{DarkLaunchRoute, RoutingMode, TrafficSplit};
 use bifrost_core::user::{User, UserSelector};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Counters describing what a proxy has done so far.
 ///
-/// The live counters are striped per session shard; [`BifrostProxy::stats`]
-/// merges the stripes with [`ProxyStats::merge`], whose aggregates are sums
-/// and `BTreeMap`-keyed tallies — both independent of shard count and shard
-/// iteration order, so a 16-shard proxy reports exactly the statistics of a
-/// 1-shard proxy over the same traffic.
+/// A proxy keeps one set behind one mutex. Batch routing tallies into a
+/// local copy and folds it in with [`ProxyStats::merge`], whose aggregates
+/// are sums and `BTreeMap`-keyed tallies, so a batch reports exactly the
+/// statistics of routing its requests one by one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProxyStats {
     /// Total requests routed.
@@ -69,9 +68,9 @@ impl ProxyStats {
         }
     }
 
-    /// Folds another stats stripe into this one. Per-version counters
+    /// Folds another set of counters into this one. Per-version counters
     /// aggregate into the same `BTreeMap` (`VersionId`-ordered) regardless
-    /// of the order stripes are merged in.
+    /// of the order sets are merged in.
     pub fn merge(&mut self, other: &ProxyStats) {
         self.requests += other.requests;
         self.shadow_copies += other.shadow_copies;
@@ -138,6 +137,31 @@ impl CompiledRules {
     }
 }
 
+/// The proxy's token generator, locked on the first mint and then held for
+/// the rest of one routing call, so a batch takes the lock at most once and
+/// a batch without anonymous clients never takes it. Tokens are minted in
+/// arrival order, which keeps batch decisions identical to one-by-one
+/// routing. Lock order: generator, then session shard.
+struct LazyTokens<'a> {
+    source: &'a Mutex<TokenGenerator>,
+    guard: Option<MutexGuard<'a, TokenGenerator>>,
+}
+
+impl<'a> LazyTokens<'a> {
+    fn new(source: &'a Mutex<TokenGenerator>) -> Self {
+        Self {
+            source,
+            guard: None,
+        }
+    }
+
+    fn mint(&mut self) -> SessionToken {
+        self.guard
+            .get_or_insert_with(|| self.source.lock())
+            .next_token()
+    }
+}
+
 /// A Bifrost proxy instance fronting one service.
 #[derive(Debug)]
 pub struct BifrostProxy {
@@ -147,12 +171,7 @@ pub struct BifrostProxy {
     sessions: SessionStore,
     tokens: Mutex<TokenGenerator>,
     overhead: OverheadModel,
-    /// Routing counters, striped one-to-one with the session shards so the
-    /// batch path updates the stripe it already partitioned for.
-    stats: Vec<Mutex<ProxyStats>>,
-    /// Configuration pushes are serialized through `&mut self`
-    /// ([`Self::apply_config`]), so this counter needs no stripe.
-    config_updates: u64,
+    stats: Mutex<ProxyStats>,
 }
 
 impl BifrostProxy {
@@ -163,19 +182,14 @@ impl BifrostProxy {
         let seed = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
         });
-        let sessions = SessionStore::new();
-        let stats = (0..sessions.shard_count())
-            .map(|_| Mutex::default())
-            .collect();
         Self {
             name,
             compiled: CompiledRules::compile(&config),
             config,
-            sessions,
+            sessions: SessionStore::new(),
             tokens: Mutex::new(TokenGenerator::seeded(seed)),
             overhead: OverheadModel::default(),
-            stats,
-            config_updates: 0,
+            stats: Mutex::default(),
         }
     }
 
@@ -186,13 +200,9 @@ impl BifrostProxy {
     }
 
     /// Overrides the session-store shard count (builder style). Only valid
-    /// before routing starts: the store is rebuilt empty and the statistics
-    /// stripes are re-created alongside it.
+    /// before routing starts: the store is rebuilt empty.
     pub fn with_session_shards(mut self, shards: usize) -> Self {
         self.sessions = SessionStore::with_shards(shards);
-        self.stats = (0..self.sessions.shard_count())
-            .map(|_| Mutex::default())
-            .collect();
         self
     }
 
@@ -206,17 +216,9 @@ impl BifrostProxy {
         &self.config
     }
 
-    /// The routing statistics accumulated so far, merged across the
-    /// per-shard stripes (order-independent, see [`ProxyStats::merge`]).
+    /// The routing statistics accumulated so far.
     pub fn stats(&self) -> ProxyStats {
-        let mut merged = ProxyStats {
-            config_updates: self.config_updates,
-            ..ProxyStats::default()
-        };
-        for stripe in &self.stats {
-            merged.merge(&stripe.lock());
-        }
-        merged
+        self.stats.lock().clone()
     }
 
     /// The overhead model in use.
@@ -230,7 +232,7 @@ impl BifrostProxy {
         self.sessions.clear();
         self.compiled = CompiledRules::compile(&config);
         self.config = config;
-        self.config_updates += 1;
+        self.stats.get_mut().config_updates += 1;
     }
 
     /// Whether any strategy-driven rules are currently installed.
@@ -247,13 +249,9 @@ impl BifrostProxy {
     /// evaluation (e.g. country filters). Without it only percentage/All
     /// selectors can match.
     pub fn route_user(&self, request: &ProxyRequest, user: Option<&User>) -> RoutingDecision {
-        let minted = self.mint_if_needed(request, user);
-        let shard = self.shard_for(request, minted);
-        let decision = {
-            let mut guard = self.sessions.shard(shard);
-            route_one(&self.compiled, &mut guard, request, user, minted)
-        };
-        self.stats[shard].lock().tally(&decision);
+        let mut tokens = LazyTokens::new(&self.tokens);
+        let decision = route_one(&self.compiled, &self.sessions, &mut tokens, request, user);
+        self.stats.lock().tally(&decision);
         decision
     }
 
@@ -269,88 +267,35 @@ impl BifrostProxy {
     /// Routes a batch of requests through the compiled configuration and
     /// returns one `(decision, CPU cost)` pair per request, in order.
     ///
-    /// This is the hot path of the request-level traffic simulation, in
-    /// three stages:
+    /// This is the hot path of the request-level traffic simulation. The
+    /// batch is routed in arrival order, so its decisions are exactly those
+    /// of routing each request with [`Self::route_costed`]:
     ///
-    /// 1. a serial pre-pass mints the session tokens the batch will consume
-    ///    **in arrival order** (one token-generator lock for the whole
-    ///    batch), which keeps decisions byte-identical to one-by-one
-    ///    routing and independent of the shard count;
-    /// 2. the batch is partitioned by session shard (a pure hash of each
-    ///    request's effective token);
-    /// 3. each touched shard's group is routed under that shard's lock —
-    ///    one session lock and one stats lock per touched shard, never a
-    ///    store-wide lock.
+    /// - tokens for anonymous clients are minted inline, under a
+    ///   token-generator lock taken at most once per batch;
+    /// - a session shard is locked only for an actual lookup or bind, which
+    ///   only anonymous clients under a sticky split perform;
+    /// - counters are tallied locally and merged into the statistics mutex
+    ///   once per batch.
     pub fn route_many_costed<'a, I>(&self, requests: I) -> Vec<(RoutingDecision, Duration)>
     where
         I: IntoIterator<Item = &'a ProxyRequest>,
     {
-        let requests: Vec<&ProxyRequest> = requests.into_iter().collect();
-        // Stage 1: serial token pre-pass in arrival order.
-        let mut minted: Vec<Option<SessionToken>> = vec![None; requests.len()];
-        if requests
-            .iter()
-            .any(|request| token_need(&self.compiled, request, None))
-        {
-            let mut tokens = self.tokens.lock();
-            for (slot, request) in minted.iter_mut().zip(&requests) {
-                if token_need(&self.compiled, request, None) {
-                    *slot = Some(tokens.next_token());
-                }
-            }
-        }
-        // Stage 2: partition request indices by session shard — a stable
-        // counting sort (one pass to count, one to scatter), so a batch
-        // costs three flat allocations instead of one growing vector per
-        // shard.
-        let shard_count = self.sessions.shard_count();
-        let shard_of: Vec<usize> = requests
-            .iter()
-            .enumerate()
-            .map(|(index, request)| self.shard_for(request, minted[index]))
+        let mut tokens = LazyTokens::new(&self.tokens);
+        let mut tally = ProxyStats::default();
+        let routed = requests
+            .into_iter()
+            .map(|request| {
+                let decision =
+                    route_one(&self.compiled, &self.sessions, &mut tokens, request, None);
+                tally.tally(&decision);
+                let cost = self.processing_cost(&decision);
+                (decision, cost)
+            })
             .collect();
-        let mut group_start = vec![0usize; shard_count + 1];
-        for &shard in &shard_of {
-            group_start[shard + 1] += 1;
-        }
-        for shard in 0..shard_count {
-            group_start[shard + 1] += group_start[shard];
-        }
-        let mut order = vec![0usize; requests.len()];
-        let mut cursor = group_start.clone();
-        for (index, &shard) in shard_of.iter().enumerate() {
-            order[cursor[shard]] = index;
-            cursor[shard] += 1;
-        }
-        // Stage 3: route each shard's group under its lock, writing results
-        // back into arrival order.
-        let mut out: Vec<Option<(RoutingDecision, Duration)>> = vec![None; requests.len()];
-        for shard in 0..shard_count {
-            let members = &order[group_start[shard]..group_start[shard + 1]];
-            if members.is_empty() {
-                continue;
-            }
-            let mut stripe = ProxyStats::default();
-            {
-                let mut guard = self.sessions.shard(shard);
-                for &index in members {
-                    let decision = route_one(
-                        &self.compiled,
-                        &mut guard,
-                        requests[index],
-                        None,
-                        minted[index],
-                    );
-                    stripe.tally(&decision);
-                    let cost = self.processing_cost(&decision);
-                    out[index] = Some((decision, cost));
-                }
-            }
-            self.stats[shard].lock().merge(&stripe);
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every request was routed in its shard group"))
-            .collect()
+        drop(tokens);
+        self.stats.lock().merge(&tally);
+        routed
     }
 
     /// The CPU demand of processing one request under the current
@@ -371,70 +316,16 @@ impl BifrostProxy {
     pub fn sessions(&self) -> &SessionStore {
         &self.sessions
     }
-
-    /// Mints the one token this request will consume, if the compiled
-    /// configuration makes it consume one (see [`token_need`]).
-    fn mint_if_needed(&self, request: &ProxyRequest, user: Option<&User>) -> Option<SessionToken> {
-        token_need(&self.compiled, request, user).then(|| self.tokens.lock().next_token())
-    }
-
-    /// The shard whose lock covers this request: keyed by the effective
-    /// session token (carried or freshly minted); identified users without
-    /// any token hash to a stable stripe, and fully identity-less requests
-    /// (possible only when no rule touches them) fall back to stripe 0.
-    fn shard_for(&self, request: &ProxyRequest, minted: Option<SessionToken>) -> usize {
-        match (request.session_token().or(minted), request.user) {
-            (Some(token), _) => self.sessions.shard_of(token),
-            (None, Some(user)) => {
-                (hash::mix64(user.raw()) % self.sessions.shard_count() as u64) as usize
-            }
-            (None, None) => 0,
-        }
-    }
 }
 
-/// Whether routing `request` under `compiled` consumes one token from the
-/// proxy's generator. This mirrors the minting sites in [`route_one`] /
-/// [`route_by_cookie`] exactly and depends only on the configuration and
-/// the request — never on session-table state (a carried token is never
-/// re-minted, bound or not) — so batch routing can pre-mint tokens in
-/// arrival order before partitioning by shard.
-fn token_need(compiled: &CompiledRules, request: &ProxyRequest, user: Option<&User>) -> bool {
-    if request.session_token().is_some() {
-        return false;
-    }
-    if let Some(rule) = &compiled.split {
-        let selected = match (user, request.user) {
-            (Some(user), _) => rule.selector.selects(user),
-            (None, Some(user_id)) => rule.selector.selects(&User::new(user_id)),
-            (None, None) => true,
-        };
-        if selected && rule.mode == RoutingMode::CookieBased {
-            return match request.user {
-                // Anonymous cookieless client: minted to bucket the split
-                // (and reused by the shadow path and `Set-Cookie`).
-                None => true,
-                // Identified user: minted only to pin the sticky binding.
-                Some(_) => rule.sticky,
-            };
-        }
-    }
-    // No split, header routing, or an unselected user: only the shadow
-    // path mints, and only for requests with no identity at all.
-    !compiled.shadows.is_empty() && request.user.is_none()
-}
-
-/// Routes one request against a compiled configuration inside the session
-/// shard its identity hashes to. Tokens are never generated here — the one
-/// token the request may consume is pre-minted by the caller (`minted`), so
-/// shard groups can be processed in any order without perturbing the
-/// deterministic token sequence.
+/// Routes one request against a compiled configuration, minting a token
+/// from `tokens` only for an anonymous client that needs one.
 fn route_one(
     compiled: &CompiledRules,
-    shard: &mut SessionShard,
+    sessions: &SessionStore,
+    tokens: &mut LazyTokens<'_>,
     request: &ProxyRequest,
     user: Option<&User>,
-    minted: Option<SessionToken>,
 ) -> RoutingDecision {
     let mut decision = match &compiled.split {
         None => RoutingDecision::to(compiled.default_version),
@@ -449,7 +340,7 @@ fn route_one(
             } else {
                 match rule.mode {
                     RoutingMode::HeaderBased => route_by_header(compiled, rule, request),
-                    RoutingMode::CookieBased => route_by_cookie(rule, shard, request, minted),
+                    RoutingMode::CookieBased => route_by_cookie(rule, sessions, tokens, request),
                 }
             }
         }
@@ -457,33 +348,33 @@ fn route_one(
 
     if !compiled.shadows.is_empty() {
         // Percentage-based duplication: one draw per request, hashed from
-        // the session/user identity so the same *clients* are consistently
+        // the user/session identity so the same *clients* are consistently
         // duplicated. Anonymous requests reuse the cookie the split path
-        // just minted, or consume the pre-minted re-identification cookie
-        // here — never a constant draw (a constant 0.0 used to shadow
-        // *every* anonymous request regardless of the percentage). The hash
-        // is salted differently than the split-bucketing draw: with the
-        // same draw for both, "p% of the source's traffic" would silently
-        // become "the p% of clients with the lowest bucket draw", which a
-        // split correlates with the version assignment.
-        // The user id outranks the session cookie here (unlike split
-        // bucketing): an identified user keeps one shadow decision whether
-        // or not their request carries the sticky cookie minted later.
-        let identity = request
-            .user
-            .map(UserId::raw)
-            .or_else(|| request.session_token().map(|token| token.raw() as u64))
-            .or_else(|| decision.set_cookie.map(|token| token.raw() as u64));
-        let draw = match identity {
-            Some(bits) => shadow_draw(bits),
+        // just minted, or mint a re-identification cookie here — never a
+        // constant draw (a constant 0.0 used to shadow *every* anonymous
+        // request regardless of the percentage). The hash is salted
+        // differently than the split-bucketing draw: with the same draw for
+        // both, "p% of the source's traffic" would silently become "the p%
+        // of clients with the lowest bucket draw", which a split correlates
+        // with the version assignment.
+        let identity = match request.user {
+            Some(user) => user.raw(),
             None => {
-                // Cookieless anonymous client under a shadow-only config:
-                // set the cookie so return visits keep the same draw.
-                let token = minted.expect("token_need pre-mints for identity-less requests");
-                decision.set_cookie = Some(token);
-                shadow_draw(token.raw() as u64)
+                let token = match request.session_token().or(decision.set_cookie) {
+                    Some(token) => token,
+                    None => {
+                        // Cookieless anonymous client under a shadow-only
+                        // config: set the cookie so return visits keep the
+                        // same draw.
+                        let token = tokens.mint();
+                        decision.set_cookie = Some(token);
+                        token
+                    }
+                };
+                token.raw() as u64
             }
         };
+        let draw = shadow_draw(identity);
         for route in &compiled.shadows {
             // Only traffic actually served by the route's source version is
             // duplicated. (Also matching the default version used to inflate
@@ -519,41 +410,37 @@ fn route_by_header(
 
 fn route_by_cookie(
     rule: &CompiledSplit,
-    shard: &mut SessionShard,
+    sessions: &SessionStore,
+    tokens: &mut LazyTokens<'_>,
     request: &ProxyRequest,
-    minted: Option<SessionToken>,
 ) -> RoutingDecision {
-    // A returning client with a bound session keeps its version.
-    if rule.sticky {
-        if let Some(token) = request.session_token() {
-            if let Some(version) = shard.lookup(token) {
-                let mut decision = RoutingDecision::to(version);
-                decision.from_sticky_session = true;
-                return decision;
-            }
+    // An identified user is bucketed on their id, cookie or not: the draw
+    // is stable for the life of the configuration, so there is nothing to
+    // bind and no cookie to set. Bucketing them on a carried token would
+    // re-draw them at every configuration change, moving canary users back
+    // to stable when the canary grows.
+    if let Some(user) = request.user {
+        return RoutingDecision::to(rule.split.pick(user_draw(user)));
+    }
+    let carried = request.session_token();
+    // A returning anonymous client with a bound session keeps its version.
+    if let (true, Some(token)) = (rule.sticky, carried) {
+        if let Some(version) = sessions.lookup(token) {
+            let mut decision = RoutingDecision::to(version);
+            decision.from_sticky_session = true;
+            return decision;
         }
     }
-    // Otherwise bucket the client: prefer the session token (returning
-    // anonymous client), then the user id, then the pre-minted token.
-    let (token, draw) = match (request.session_token(), request.user) {
-        (Some(token), _) => (Some(token), token.bucket_draw()),
-        (None, Some(user)) => (None, user_draw(user)),
-        (None, None) => {
-            let token = minted.expect("token_need pre-mints for anonymous cookie routing");
-            (Some(token), token.bucket_draw())
-        }
-    };
-    let version = rule.split.pick(draw);
+    let token = carried.unwrap_or_else(|| tokens.mint());
+    let version = rule.split.pick(token.bucket_draw());
     let mut decision = RoutingDecision::to(version);
     if rule.sticky {
-        let token =
-            token.unwrap_or_else(|| minted.expect("token_need pre-mints for sticky user binding"));
-        shard.bind(token, version);
+        sessions.bind(token, version);
         decision.set_cookie = Some(token);
-    } else if request.session_token().is_none() && request.user.is_none() {
+    } else if carried.is_none() {
         // Non-sticky cookie routing still sets the re-identification
         // cookie so that traffic shares stay consistent per client.
-        decision.set_cookie = token;
+        decision.set_cookie = Some(token);
     }
     decision
 }

@@ -11,12 +11,15 @@ pub const SESSION_COOKIE: &str = "bifrost-session";
 pub const GROUP_HEADER: &str = "x-bifrost-group";
 
 /// A request as it arrives at a Bifrost proxy: the (simulated) client's user
-/// id, its cookies, and selected headers.
+/// id, its session token, other cookies, and selected headers.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProxyRequest {
     /// The authenticated user issuing the request, if known.
     pub user: Option<UserId>,
-    /// Cookies sent by the client.
+    /// The session token carried in the [`SESSION_COOKIE`], parsed once when
+    /// the request is built.
+    pub session: Option<SessionToken>,
+    /// Cookies sent by the client, other than the session cookie.
     pub cookies: BTreeMap<String, String>,
     /// Request headers relevant to routing.
     pub headers: BTreeMap<String, String>,
@@ -41,14 +44,21 @@ impl ProxyRequest {
 
     /// Adds the session cookie (builder style).
     pub fn with_session(mut self, token: SessionToken) -> Self {
-        self.cookies
-            .insert(SESSION_COOKIE.to_string(), token.to_string());
+        self.session = Some(token);
         self
     }
 
-    /// Adds an arbitrary cookie (builder style).
+    /// Adds an arbitrary cookie (builder style). A [`SESSION_COOKIE`] value
+    /// is parsed into [`Self::session`] here; a malformed one leaves the
+    /// request without a session (the proxy then treats it as new).
     pub fn with_cookie(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.cookies.insert(name.into(), value.into());
+        let name = name.into();
+        let value = value.into();
+        if name == SESSION_COOKIE {
+            self.session = parse_token(&value);
+        } else {
+            self.cookies.insert(name, value);
+        }
         self
     }
 
@@ -72,14 +82,13 @@ impl ProxyRequest {
     /// The session token carried by the request, if a valid session cookie is
     /// present.
     pub fn session_token(&self) -> Option<SessionToken> {
-        let raw = self.cookies.get(SESSION_COOKIE)?;
-        parse_token(raw)
+        self.session
     }
 }
 
 /// Parses the canonical UUID rendering produced by
 /// [`SessionToken::to_string`] back into a token. Returns `None` for
-/// malformed cookies (the proxy then treats the request as new).
+/// malformed cookies.
 fn parse_token(raw: &str) -> Option<SessionToken> {
     let hex: String = raw.chars().filter(|c| *c != '-').collect();
     if hex.len() != 32 {
@@ -147,6 +156,8 @@ mod tests {
         let mut generator = TokenGenerator::seeded(9);
         let token = generator.next_token();
         let request = ProxyRequest::new().with_session(token);
+        assert_eq!(request.session_token(), Some(token));
+        let request = ProxyRequest::new().with_cookie(SESSION_COOKIE, token.to_string());
         assert_eq!(request.session_token(), Some(token));
     }
 

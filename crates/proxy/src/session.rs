@@ -1,20 +1,21 @@
 //! Sticky sessions: cookie tokens and the sharded session table.
 //!
 //! When a proxy uses cookie-based routing with sticky sessions, it sets a
-//! UUID cookie on the client's first request and remembers which version the
-//! client was bucketed into; subsequent requests carrying the cookie are
-//! routed to the same version for the remainder of the state.
+//! UUID cookie on an anonymous client's first request and remembers which
+//! version the client was bucketed into; subsequent requests carrying the
+//! cookie are routed to the same version for the remainder of the state.
+//! Only anonymous cookie carriers touch the table: an identified user's
+//! bucket is a pure draw on the user id, so the proxy never binds, looks up
+//! or cookies them.
 //!
-//! The binding table is the proxy's hottest shared structure: every routed
-//! request under a sticky split performs a lookup, and a proxy fronting a
-//! large service holds millions of live bindings. The table is therefore
-//! **sharded by token hash** — `N` independently locked
-//! ([`parking_lot::Mutex`]) shards, each a `BTreeMap` slice of the key
-//! space. Shard assignment is a pure function of the token (a splitmix
-//! finalizer over [`SessionToken::raw`], see [`bifrost_core::hash`]), so a
-//! token's bindings always live in exactly one shard and batch routing can
-//! partition a tick's requests by shard, taking one short lock per touched
-//! shard instead of one global lock for the whole batch. Smaller per-shard
+//! A proxy fronting a large anonymous audience holds many live bindings,
+//! and every returning anonymous request under a sticky split performs a
+//! lookup. The table is therefore **sharded by token hash** — `N`
+//! independently locked ([`parking_lot::Mutex`]) shards, each a `BTreeMap`
+//! slice of the key space. Shard assignment is a pure function of the token
+//! (a splitmix finalizer over [`SessionToken::raw`], see
+//! [`bifrost_core::hash`]), so a token's bindings always live in exactly one
+//! shard, and each lookup or bind locks only that shard. Smaller per-shard
 //! trees also cut lookup depth, which is what makes sharding win even on a
 //! single core once the table holds millions of bindings.
 
@@ -150,9 +151,8 @@ impl SessionShard {
 /// The sticky-session table of a proxy: token → version, sharded by token
 /// hash behind striped locks.
 ///
-/// All methods take `&self`; concurrent callers (and shard-partitioned
-/// batches, see [`crate::BifrostProxy::route_many_costed`]) only contend
-/// when they touch the same shard. Aggregate accessors ([`Self::len`],
+/// All methods take `&self`; concurrent callers only contend when they
+/// touch the same shard. Aggregate accessors ([`Self::len`],
 /// [`Self::hits`], …) fold over the shards in index order; every aggregate
 /// is a sum, so the result is independent of both shard count and shard
 /// iteration order.
@@ -194,8 +194,7 @@ impl SessionStore {
         (token.shard_hash() % self.shards.len() as u64) as usize
     }
 
-    /// Locks and returns one shard (batch routing partitions its requests
-    /// by [`Self::shard_of`] and processes each group under one such lock).
+    /// Locks and returns one shard.
     pub fn shard(&self, index: usize) -> MutexGuard<'_, SessionShard> {
         self.shards[index].lock()
     }

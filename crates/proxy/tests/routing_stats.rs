@@ -6,7 +6,7 @@
 use bifrost_core::ids::{ServiceId, UserId, VersionId};
 use bifrost_core::routing::{DarkLaunchRoute, Percentage, RoutingMode, TrafficSplit};
 use bifrost_core::user::UserSelector;
-use bifrost_proxy::{BifrostProxy, ProxyConfig, ProxyRequest, ProxyRule};
+use bifrost_proxy::{BifrostProxy, ProxyConfig, ProxyRequest, ProxyRule, SessionToken};
 use bifrost_simnet::SimRng;
 
 const N: usize = 20_000;
@@ -166,10 +166,10 @@ fn anonymous_shadow_cohort_is_stable_across_return_visits() {
 
 #[test]
 fn identified_users_keep_their_shadow_decision_once_cookied() {
-    // With sticky splits a user's later requests carry a session cookie;
-    // the shadow draw must still key on the user id so the dark-launch
-    // cohort does not churn between the first (cookieless) visit and
-    // return visits.
+    // A user who browsed anonymously before logging in carries the session
+    // cookie the sticky split set on that visit; the shadow draw must still
+    // key on the user id so the dark-launch cohort does not churn between
+    // cookieless and cookie-carrying requests.
     let (service, stable, canary) = ids();
     let split = TrafficSplit::canary(stable, canary, Percentage::new(0.0).unwrap()).unwrap();
     let config = ProxyConfig::new(service, stable)
@@ -186,11 +186,71 @@ fn identified_users_keep_their_shadow_decision_once_cookied() {
         )));
     let proxy = BifrostProxy::new("p", config);
     for i in 0..2_000 {
+        let anonymous = proxy.route(&ProxyRequest::new());
+        let token = anonymous.set_cookie.expect("sticky split sets a cookie");
         let first = proxy.route(&ProxyRequest::from_user(UserId::new(i)));
-        let token = first.set_cookie.expect("sticky split sets a cookie");
         let returning = proxy.route(&ProxyRequest::from_user(UserId::new(i)).with_session(token));
         assert_eq!(first.shadows, returning.shadows, "user {i} changed cohort");
     }
+}
+
+#[test]
+fn identified_users_keep_their_bucket_across_a_canary_step() {
+    // Regression test: an identified user who sent back the cookie a
+    // sticky split had set used to be bucketed on that token, so every
+    // configuration change re-drew them and a growing canary moved about
+    // three quarters of its users back to stable. Bucketing on the user id
+    // keeps every canary user in the canary, moves only the minimal share
+    // forward, and binds nobody.
+    let (_, stable, canary) = ids();
+    let mut proxy = BifrostProxy::new("p", split_config(10.0, true, RoutingMode::CookieBased));
+    let route_all = |proxy: &BifrostProxy, cookies: &mut Vec<Option<SessionToken>>| {
+        (0..N)
+            .map(|i| {
+                let mut request = ProxyRequest::from_user(UserId::new(i as u64));
+                if let Some(token) = cookies[i] {
+                    request = request.with_session(token);
+                }
+                let decision = proxy.route(&request);
+                if decision.set_cookie.is_some() {
+                    cookies[i] = decision.set_cookie;
+                }
+                decision.primary
+            })
+            .collect::<Vec<_>>()
+    };
+    let mut cookies = vec![None; N];
+    let before = route_all(&proxy, &mut cookies);
+    assert_eq!(
+        route_all(&proxy, &mut cookies),
+        before,
+        "a user changed version within a configuration"
+    );
+    proxy.apply_config(split_config(20.0, true, RoutingMode::CookieBased));
+    let after = route_all(&proxy, &mut cookies);
+    assert_eq!(
+        route_all(&proxy, &mut cookies),
+        after,
+        "a user changed version within a configuration"
+    );
+    let moved = |from, to| {
+        before
+            .iter()
+            .zip(&after)
+            .filter(|&(&b, &a)| b == from && a == to)
+            .count()
+    };
+    assert_eq!(
+        moved(canary, stable),
+        0,
+        "canary users moved back to stable"
+    );
+    let forward = moved(stable, canary) as f64 / N as f64;
+    assert!(
+        (forward - 0.10).abs() < 0.01,
+        "{forward} of users moved forward, expected about 0.10"
+    );
+    assert_eq!(proxy.sessions().len(), 0);
 }
 
 #[test]
