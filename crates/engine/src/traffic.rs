@@ -8,22 +8,28 @@
 //! service; the engine materialises the arrival plan from its seed, groups
 //! the arrivals into per-tick batches ([`bifrost_workload::ArrivalPlan::batches`]),
 //! and schedules one `TrafficTick` engine event per non-empty tick. Each
-//! tick routes its batch through the service's proxy under a shared read
-//! lock ([`bifrost_proxy::BifrostProxy::route_many_costed`] — the
-//! compiled-config hot path, which partitions the batch by session shard
-//! and takes one striped lock per touched shard instead of a global
-//! one), charges every request's routing cost to the
+//! tick routes its batch, in arrival order, through the service's proxy
+//! under a shared read lock
+//! ([`bifrost_proxy::BifrostProxy::route_many_costed`], the
+//! compiled-config hot path), charges every request's routing cost to the
 //! proxy's own CPU, models the serving version's backend latency and error
 //! rate, and records the observed outcomes into the shared metric store via
 //! [`bifrost_metrics::TrafficSeriesRecorder`] — so checks evaluate traffic
 //! the proxies actually routed instead of hand-injected samples.
+//!
+//! The per-request loop keeps no per-version map of its own: each version
+//! the stream meets gets a slot on first sight holding its backend model,
+//! its recorder slot and the batch's per-version counts, which are folded
+//! into [`TrafficStats`] once per batch. (A queued version's server is
+//! still found in the engine's [`BackendFleet`] by key.)
 //!
 //! Everything derives from the engine seed: an N-thread multi-trial run
 //! produces byte-identical traffic statistics to a 1-thread run.
 
 use bifrost_core::ids::{ServiceId, VersionId};
 use bifrost_core::seed::Seed;
-use bifrost_metrics::{SharedMetricStore, TrafficSeriesRecorder};
+use bifrost_metrics::stats::select_nth_total_order;
+use bifrost_metrics::{SharedMetricStore, TrafficSeriesRecorder, VersionSlot};
 use bifrost_proxy::ProxyRequest;
 use bifrost_simnet::{CpuResource, SimRng, SimTime};
 use bifrost_workload::{ArrivalPlan, LoadProfile};
@@ -287,16 +293,16 @@ impl TrafficStats {
         self.total_latency_ms / self.requests as f64
     }
 
-    /// The `q`-quantile (0.0..=1.0) of end-to-end latency in milliseconds.
-    /// O(n) selection on a scratch copy rather than a full sort.
+    /// The `q`-quantile (0.0..=1.0) of end-to-end latency in milliseconds:
+    /// the value at rank `round(q · (n − 1))` in [`f64::total_cmp`] order.
+    /// An exact O(n) radix selection that copies none of the latencies
+    /// (see [`select_nth_total_order`]).
     pub fn latency_quantile_ms(&self, q: f64) -> f64 {
         if self.latencies_ms.is_empty() {
             return 0.0;
         }
-        let mut scratch = self.latencies_ms.clone();
-        let rank = (q.clamp(0.0, 1.0) * (scratch.len() - 1) as f64).round() as usize;
-        let (_, value, _) = scratch.select_nth_unstable_by(rank, f64::total_cmp);
-        *value
+        let rank = (q.clamp(0.0, 1.0) * (self.latencies_ms.len() - 1) as f64).round() as usize;
+        select_nth_total_order(&self.latencies_ms, rank)
     }
 
     /// The fraction of primary traffic served by `version`.
@@ -367,15 +373,80 @@ pub(crate) struct TrafficStream {
     stats: TrafficStats,
     /// Scratch buffer reused across ticks to build the batch's requests.
     scratch: Vec<ProxyRequest>,
-    /// Version → series label, pre-resolved so the per-request loop never
-    /// allocates for label bookkeeping. Versions the profile did not name
-    /// are added on first sight with their id rendering.
+    versions: VersionSlots,
+}
+
+/// One version as a stream sees it, resolved on first sight.
+#[derive(Debug)]
+struct Slot {
+    version: VersionId,
+    model: BackendModel,
+    recorder: VersionSlot,
+    /// Primary requests of the current batch.
+    requests: u64,
+    /// Primary requests of the current batch shed or timed out.
+    shed: u64,
+    /// Shadow copies of the current batch.
+    shadows: u64,
+}
+
+/// The versions a stream has met, each resolved once — backend model,
+/// series label, recorder slot — so the per-request loop finds a version
+/// by a linear scan of a few slots instead of map lookups.
+#[derive(Debug)]
+struct VersionSlots {
+    slots: Vec<Slot>,
+    /// Version → series label; versions the profile did not name are
+    /// labelled with their id rendering.
     labels: BTreeMap<VersionId, String>,
-    /// Version → backend model, resolved once from the profile and the
-    /// engine's capacity defaults.
+    /// Version → backend model, resolved from the profile and the engine's
+    /// capacity defaults.
     models: BTreeMap<VersionId, BackendModel>,
     /// The resolved model for versions the profile did not name.
     default_model: BackendModel,
+}
+
+impl VersionSlots {
+    /// The index of `version`'s slot, filled on first sight.
+    fn index(&mut self, version: VersionId, recorder: &mut TrafficSeriesRecorder) -> usize {
+        if let Some(index) = self.slots.iter().position(|slot| slot.version == version) {
+            return index;
+        }
+        let recorder = match self.labels.get(&version) {
+            Some(label) => recorder.slot(label),
+            None => recorder.slot(&version.to_string()),
+        };
+        self.slots.push(Slot {
+            version,
+            model: self
+                .models
+                .get(&version)
+                .copied()
+                .unwrap_or(self.default_model),
+            recorder,
+            requests: 0,
+            shed: 0,
+            shadows: 0,
+        });
+        self.slots.len() - 1
+    }
+
+    /// Folds the batch's per-version counts into `stats` and zeroes them.
+    /// Only non-zero counts touch the maps, so a version enters a map
+    /// exactly when routing it one request at a time would enter it.
+    fn fold_batch(&mut self, stats: &mut TrafficStats) {
+        for slot in &mut self.slots {
+            for (map, count) in [
+                (&mut stats.per_version, &mut slot.requests),
+                (&mut stats.shed_per_version, &mut slot.shed),
+                (&mut stats.shadow_per_version, &mut slot.shadows),
+            ] {
+                if *count > 0 {
+                    *map.entry(slot.version).or_insert(0) += std::mem::take(count);
+                }
+            }
+        }
+    }
 }
 
 impl TrafficStream {
@@ -407,33 +478,27 @@ impl TrafficStream {
             profile.version_labels.values().map(String::as_str),
             SimTime::ZERO.to_timestamp(),
         );
-        let models = profile
-            .backends
-            .iter()
-            .map(|(version, model)| (*version, model.with_defaults(backend_defaults)))
-            .collect();
-        let default_model = profile.default_backend.with_defaults(backend_defaults);
+        let versions = VersionSlots {
+            slots: Vec::new(),
+            labels: profile.version_labels.clone(),
+            models: profile
+                .backends
+                .iter()
+                .map(|(version, model)| (*version, model.with_defaults(backend_defaults)))
+                .collect(),
+            default_model: profile.default_backend.with_defaults(backend_defaults),
+        };
         Self {
             rng: SimRng::seeded(stream_seed.stream("backends").value()),
             shadow_rng: SimRng::seeded(stream_seed.stream("shadow-backends").value()),
             recorder,
             arrivals,
             batches,
-            labels: profile.version_labels.clone(),
-            models,
-            default_model,
+            versions,
             profile,
             stats: TrafficStats::default(),
             scratch: Vec::new(),
         }
-    }
-
-    /// The resolved backend model of a version.
-    fn model_of(&self, version: VersionId) -> BackendModel {
-        self.models
-            .get(&version)
-            .copied()
-            .unwrap_or(self.default_model)
     }
 
     /// The service this stream targets.
@@ -479,16 +544,16 @@ impl TrafficStream {
                 .iter()
                 .map(|arrival| ProxyRequest::from_user(arrival.user)),
         );
-        // Routing needs only read access to the proxy (the sharded session
-        // store locks per shard internally), so concurrent streams through
-        // the same proxy no longer serialize on the handle.
+        // Routing needs only read access to the proxy, so concurrent
+        // streams through the same proxy do not serialize on the handle.
         let routed = proxy.read().route_many_costed(self.scratch.iter());
         let service = self.profile.service;
         for (arrival, (decision, cost)) in arrivals.iter().zip(&routed) {
             let receipt = cpu.submit(arrival.at, *cost);
             self.stats.proxy_busy += *cost;
             let proxy_ms = (receipt.completed - arrival.at).as_secs_f64() * 1_000.0;
-            let model = self.model_of(decision.primary);
+            let primary = self.versions.index(decision.primary, &mut self.recorder);
+            let model = self.versions.slots[primary].model;
             // Service demand: the version's mean service time with a ±10%
             // deterministic jitter so latency series are not flat lines
             // (and queued servers see a demand distribution).
@@ -535,54 +600,40 @@ impl TrafficStream {
                 ServeOutcome::Shed => self.stats.shed += 1,
                 ServeOutcome::TimedOut => self.stats.timed_out += 1,
             }
-            if outcome != ServeOutcome::Served {
-                *self
-                    .stats
-                    .shed_per_version
-                    .entry(decision.primary)
-                    .or_insert(0) += 1;
-            }
-            *self.stats.per_version.entry(decision.primary).or_insert(0) += 1;
+            let slot = &mut self.versions.slots[primary];
+            slot.requests += 1;
             self.stats.total_latency_ms += latency_ms;
             self.stats.latencies_ms.push(latency_ms);
-            let label = self
-                .labels
-                .entry(decision.primary)
-                .or_insert_with(|| decision.primary.to_string());
-            self.recorder.observe_request(label, latency_ms, success);
+            self.recorder
+                .observe_request_at(slot.recorder, latency_ms, success);
             if outcome != ServeOutcome::Served {
-                self.recorder.observe_shed(label);
+                slot.shed += 1;
+                self.recorder.observe_shed_at(slot.recorder);
             }
             for shadow in &decision.shadows {
                 self.stats.shadow_copies += 1;
-                *self
-                    .stats
-                    .shadow_per_version
-                    .entry(shadow.target)
-                    .or_insert(0) += 1;
                 // Shadow work charges the shadow version's replicas — a
                 // dark launch visibly heats them — but its outcome never
                 // surfaces to the caller: no latency, no error. The demand
                 // draw comes from the dedicated shadow RNG so the primary
                 // sequence is independent of the dark-launch share.
-                let shadow_model = self.model_of(shadow.target);
-                let label = self
-                    .labels
-                    .entry(shadow.target)
-                    .or_insert_with(|| shadow.target.to_string());
-                self.recorder.observe_shadow(label);
-                if let BackendModel::Queued(queued) = shadow_model {
+                let target = self.versions.index(shadow.target, &mut self.recorder);
+                let slot = &mut self.versions.slots[target];
+                slot.shadows += 1;
+                self.recorder.observe_shadow_at(slot.recorder);
+                if let BackendModel::Queued(queued) = slot.model {
                     let demand = queued
                         .service_time
                         .mul_f64(0.9 + 0.2 * self.shadow_rng.uniform());
                     let server = fleet.ensure(service, shadow.target, &queued);
                     if server.dispatch(receipt.completed, demand) == BackendDispatch::Shed {
                         self.stats.shadow_shed += 1;
-                        self.recorder.observe_shed(label);
+                        self.recorder.observe_shed_at(slot.recorder);
                     }
                 }
             }
         }
+        self.versions.fold_batch(&mut self.stats);
         self.stats.ticks += 1;
         // Sample each backend's replica utilisation over the tick and
         // publish it per version; sampling also drains the replicas'
@@ -590,11 +641,9 @@ impl TrafficStream {
         // service, the first stream's tick consumes the window.)
         for (version, server) in fleet.servers_of_mut(service) {
             let percent = server.sample_utilization(at);
-            let label = self
-                .labels
-                .entry(version)
-                .or_insert_with(|| version.to_string());
-            self.recorder.observe_utilization(label, percent);
+            let slot = self.versions.index(version, &mut self.recorder);
+            self.recorder
+                .observe_utilization_at(self.versions.slots[slot].recorder, percent);
             let peak = self.stats.peak_utilization.entry(version).or_insert(0.0);
             if percent > *peak {
                 *peak = percent;

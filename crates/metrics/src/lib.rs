@@ -49,8 +49,8 @@ pub use significance::{
     AbVerdict, Conversions,
 };
 pub use stats::{bin_average, moving_average, DistributionSummary, SummaryStats};
-pub use store::{MetricStore, SharedMetricStore};
-pub use traffic::TrafficSeriesRecorder;
+pub use store::{MetricStore, SeriesId, SharedMetricStore};
+pub use traffic::{TrafficSeriesRecorder, VersionSlot};
 
 /// Convenience re-exports.
 pub mod prelude {
@@ -63,6 +63,6 @@ pub mod prelude {
         AbTestResult, AbVerdict, Conversions,
     };
     pub use crate::stats::{bin_average, moving_average, DistributionSummary, SummaryStats};
-    pub use crate::store::{MetricStore, SharedMetricStore};
-    pub use crate::traffic::TrafficSeriesRecorder;
+    pub use crate::store::{MetricStore, SeriesId, SharedMetricStore};
+    pub use crate::traffic::{TrafficSeriesRecorder, VersionSlot};
 }

@@ -83,6 +83,95 @@ fn sorted_copy(values: &[f64]) -> Option<Vec<f64>> {
     Some(sorted)
 }
 
+/// The unsigned key whose integer order is [`f64::total_cmp`]'s order:
+/// −NaN < −∞ < … < −0.0 < +0.0 < … < +∞ < +NaN. Equal keys are equal
+/// bits.
+pub fn total_order_key(value: f64) -> u64 {
+    let bits = value.to_bits();
+    // Negative values have every bit flipped, positive ones only the sign.
+    bits ^ (((bits as i64 >> 63) as u64) | SIGN_BIT)
+}
+
+/// The value whose [`total_order_key`] is `key`.
+fn from_total_order_key(key: u64) -> f64 {
+    f64::from_bits(if key & SIGN_BIT == 0 {
+        !key
+    } else {
+        key & !SIGN_BIT
+    })
+}
+
+const SIGN_BIT: u64 = 1 << 63;
+/// Bits per radix digit of [`select_nth_total_order`]: at most 2¹⁶
+/// counters per histogram, at most four histogram passes.
+const DIGIT_BITS: u32 = 16;
+/// Once at most this many values are left in the running, they are copied
+/// out and selected directly instead of histogrammed further.
+const CANDIDATE_LIMIT: usize = 1 << 10;
+
+/// The value at index `rank` of `values` in [`f64::total_cmp`] order — bit
+/// for bit what `select_nth_unstable_by(rank, f64::total_cmp)` leaves at
+/// `rank` in a copy — without copying `values`.
+///
+/// A radix select over [`total_order_key`], on the key range the values
+/// actually span, so clustered latencies spread over many buckets: a first
+/// pass finds the smallest and largest key; each further pass splits the
+/// range still in the running into at most 2¹⁶ equal buckets, counts the
+/// keys in each and keeps the bucket holding `rank`. Once at most 1,024
+/// values are left (usually after one histogram), they are copied out and
+/// selected directly. Scratch memory is one histogram of 2¹⁶ counters
+/// (512 KiB) plus at most 1,024 keys, whatever the length of `values`.
+///
+/// # Panics
+///
+/// If `rank >= values.len()`.
+pub fn select_nth_total_order(values: &[f64], rank: usize) -> f64 {
+    assert!(
+        rank < values.len(),
+        "rank {rank} out of range for {} values",
+        values.len()
+    );
+    let keys = || values.iter().map(|&v| total_order_key(v));
+    let (min, max) = keys().fold((u64::MAX, 0), |(min, max), key| {
+        (min.min(key), max.max(key))
+    });
+    // The values still in the running are those with a key in
+    // `low..=low + width`; `rank` counts from `low`.
+    let (mut low, mut width) = (min, max - min);
+    let mut rank = rank;
+    let mut remaining = values.len();
+    let mut counts: Vec<usize> = Vec::new();
+    while width > 0 {
+        if remaining <= CANDIDATE_LIMIT {
+            let mut candidates: Vec<u64> = Vec::with_capacity(remaining);
+            candidates.extend(keys().filter(|key| key.wrapping_sub(low) <= width));
+            return from_total_order_key(*candidates.select_nth_unstable(rank).1);
+        }
+        // Bucket `offset >> shift` of at most 2¹⁶.
+        let shift = (u64::BITS - width.leading_zeros()).saturating_sub(DIGIT_BITS);
+        counts.clear();
+        counts.resize((width >> shift) as usize + 1, 0);
+        for key in keys() {
+            let offset = key.wrapping_sub(low);
+            if offset <= width {
+                counts[(offset >> shift) as usize] += 1;
+            }
+        }
+        for (bucket, &count) in counts.iter().enumerate() {
+            if rank < count {
+                let start = (bucket as u64) << shift;
+                low += start;
+                width = (width - start).min((1 << shift) - 1);
+                remaining = count;
+                break;
+            }
+            rank -= count;
+        }
+    }
+    // A single key is left: every value in the running has these bits.
+    from_total_order_key(low)
+}
+
 /// Summary of a sample distribution including tail percentiles — the
 /// aggregation the multi-trial benchmark runner reports per experiment
 /// point (mean / p50 / p95 / standard deviation across trials).
@@ -211,6 +300,91 @@ mod tests {
         assert!((p50 - 50.0).abs() <= 1.0);
         let p95 = SummaryStats::percentile(&values, 95.0).unwrap();
         assert!((p95 - 95.0).abs() <= 1.0);
+    }
+
+    /// Values at the edges of the `total_cmp` order.
+    const EDGES: [f64; 12] = [
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        5e-324,
+        -5e-324,
+    ];
+
+    #[test]
+    fn total_order_key_orders_like_total_cmp_and_round_trips() {
+        let payload_nan = f64::from_bits(0x7ff0_0000_0000_0001);
+        let values: Vec<f64> = EDGES
+            .iter()
+            .copied()
+            .chain([1.5, -2.5, payload_nan])
+            .collect();
+        for &a in &values {
+            assert_eq!(
+                from_total_order_key(total_order_key(a)).to_bits(),
+                a.to_bits()
+            );
+            for &b in &values {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn radix_select_matches_select_on_a_copy_through_every_pass() {
+        // Far more than CANDIDATE_LIMIT copies of one value and of its
+        // neighbour one ulp up (distinguished only by the last digit), a
+        // spread of latencies, and every edge value.
+        let near = f64::from_bits(2.5f64.to_bits() + 1);
+        let mut values: Vec<f64> = Vec::new();
+        for i in 0..60_000u64 {
+            values.push(match i % 6 {
+                0 | 1 => 2.5,
+                2 => near,
+                3 => EDGES[(i / 6 % 12) as usize],
+                _ => (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as f64 / 1e3,
+            });
+        }
+        let len = values.len();
+        for rank in [
+            0,
+            1,
+            2,
+            len / 6,
+            len / 3,
+            len / 2,
+            len * 2 / 3,
+            len - 2,
+            len - 1,
+        ] {
+            let mut copy = values.clone();
+            let want = *copy.select_nth_unstable_by(rank, f64::total_cmp).1;
+            let got = select_nth_total_order(&values, rank);
+            assert_eq!(got.to_bits(), want.to_bits(), "rank {rank}");
+        }
+        // A single repeated value needs no histogram at all.
+        let same = vec![-0.0; 3 * CANDIDATE_LIMIT];
+        assert_eq!(
+            select_nth_total_order(&same, 7).to_bits(),
+            (-0.0f64).to_bits()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn radix_select_rejects_a_rank_past_the_end() {
+        select_nth_total_order(&[1.0], 1);
     }
 
     #[test]

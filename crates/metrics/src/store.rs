@@ -9,10 +9,30 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// A handle to one series of one [`MetricStore`], returned by
+/// [`MetricStore::resolve`]: writers that publish to the same series over
+/// and over resolve its key once and then [`MetricStore::push`] by handle.
+/// A handle is only meaningful for the store that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SeriesId(usize);
+
 /// An in-memory, label-indexed collection of time series.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Series live in a vector in creation order and are found through a
+/// key-ordered index, so every read (queries, key listings, equality)
+/// walks the series in key order whatever order they were created in.
+#[derive(Debug, Clone, Default)]
 pub struct MetricStore {
-    series: BTreeMap<SeriesKey, TimeSeries>,
+    index: BTreeMap<SeriesKey, SeriesId>,
+    series: Vec<TimeSeries>,
+}
+
+impl PartialEq for MetricStore {
+    /// Two stores are equal when they hold the same series under the same
+    /// keys, regardless of the order the series were created in.
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
 }
 
 impl MetricStore {
@@ -21,10 +41,32 @@ impl MetricStore {
         Self::default()
     }
 
+    /// The handle of the series stored under `key`, creating the series
+    /// empty on first use (the key is cloned only then).
+    pub fn resolve(&mut self, key: &SeriesKey) -> SeriesId {
+        if let Some(&id) = self.index.get(key) {
+            return id;
+        }
+        let id = SeriesId(self.series.len());
+        self.series.push(TimeSeries::new());
+        self.index.insert(key.clone(), id);
+        id
+    }
+
+    /// Appends a sample to the series behind `id`.
+    ///
+    /// # Panics
+    ///
+    /// If `id` was not issued by this store.
+    pub fn push(&mut self, id: SeriesId, sample: Sample) {
+        self.series[id.0].push(sample);
+    }
+
     /// Records a sample for the given series (creating the series on first
     /// use).
     pub fn record(&mut self, key: SeriesKey, sample: Sample) {
-        self.series.entry(key).or_default().push(sample);
+        let id = self.resolve(&key);
+        self.push(id, sample);
     }
 
     /// Convenience: records `value` for `key` at time `at`.
@@ -35,19 +77,24 @@ impl MetricStore {
     /// Increments a counter series by `delta` at time `at` (the new sample
     /// holds the running total).
     pub fn increment(&mut self, key: SeriesKey, at: TimestampMs, delta: f64) {
-        let series = self.series.entry(key).or_default();
-        let current = series.last().map(|s| s.value).unwrap_or(0.0);
-        series.push(Sample::new(at, current + delta));
+        let id = self.resolve(&key);
+        let current = self.series[id.0].last().map(|s| s.value).unwrap_or(0.0);
+        self.push(id, Sample::new(at, current + delta));
     }
 
     /// Returns the series stored under `key`, if any.
     pub fn series(&self, key: &SeriesKey) -> Option<&TimeSeries> {
-        self.series.get(key)
+        self.index.get(key).map(|id| &self.series[id.0])
     }
 
-    /// All series keys currently known.
+    /// All series keys currently known, in key order.
     pub fn keys(&self) -> impl Iterator<Item = &SeriesKey> {
-        self.series.keys()
+        self.index.keys()
+    }
+
+    /// Every series with its key, in key order.
+    fn iter(&self) -> impl Iterator<Item = (&SeriesKey, &TimeSeries)> {
+        self.index.iter().map(|(key, id)| (key, &self.series[id.0]))
     }
 
     /// Number of series.
@@ -57,7 +104,7 @@ impl MetricStore {
 
     /// Total number of samples across all series.
     pub fn sample_count(&self) -> usize {
-        self.series.values().map(TimeSeries::len).sum()
+        self.series.iter().map(TimeSeries::len).sum()
     }
 
     /// Evaluates a query at time `now`: all selected series are windowed,
@@ -65,7 +112,7 @@ impl MetricStore {
     /// to the union.
     pub fn evaluate(&self, query: &RangeQuery, now: TimestampMs) -> Option<f64> {
         let mut window: Vec<Sample> = Vec::new();
-        for (key, series) in &self.series {
+        for (key, series) in self.iter() {
             if query.selects(key) {
                 window.extend_from_slice(series.window(now, query.window()));
             }
@@ -77,7 +124,7 @@ impl MetricStore {
     /// Prunes samples older than `retention` from every series.
     pub fn prune(&mut self, now: TimestampMs, retention: Duration) -> usize {
         self.series
-            .values_mut()
+            .iter_mut()
             .map(|s| s.prune(now, retention))
             .sum()
     }
@@ -113,17 +160,21 @@ impl SharedMetricStore {
         self.inner.write().increment(key, at, delta);
     }
 
-    /// Records a batch of samples under a single write lock — the bulk path
-    /// used by per-tick traffic recording, where taking the lock per sample
-    /// would dominate. A key is cloned only when its series is new.
+    /// Records a batch of samples under a single write lock. A key is
+    /// cloned only when its series is new.
     pub fn record_many<'a>(&self, samples: impl IntoIterator<Item = (&'a SeriesKey, Sample)>) {
         let mut store = self.inner.write();
         for (key, sample) in samples {
-            match store.series.get_mut(key) {
-                Some(series) => series.push(sample),
-                None => store.record(key.clone(), sample),
-            }
+            let id = store.resolve(key);
+            store.push(id, sample);
         }
+    }
+
+    /// Runs a closure with write access to the underlying store, under one
+    /// lock — the bulk path of per-tick traffic recording, which publishes
+    /// through [`SeriesId`] handles it resolved once.
+    pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut MetricStore) -> R) -> R {
+        f(&mut self.inner.write())
     }
 
     /// Evaluates a query at `now`.
@@ -258,6 +309,55 @@ mod tests {
         }
         bulk.record_many(samples.iter().map(|(k, s)| (k, *s)));
         assert_eq!(bulk.snapshot(), single.snapshot());
+    }
+
+    #[test]
+    fn creation_order_does_not_change_equality_or_queries() {
+        let keys = [key("search:80"), key("product:80"), key("auth:80")];
+        let mut forward = MetricStore::new();
+        let mut backward = MetricStore::new();
+        // One timestamp for all: `Last` then picks the series that comes
+        // last in the order the store walks them.
+        let at = TimestampMs::from_secs(1);
+        for (i, k) in keys.iter().enumerate() {
+            forward.record_value(k.clone(), at, i as f64);
+        }
+        for (i, k) in keys.iter().enumerate().rev() {
+            backward.record_value(k.clone(), at, i as f64);
+        }
+        assert_eq!(forward, backward);
+        assert!(forward.keys().eq(backward.keys()));
+        for aggregation in [Aggregation::Sum, Aggregation::Last, Aggregation::Mean] {
+            let q = RangeQuery::new("request_errors")
+                .over_window_secs(60)
+                .aggregate(aggregation);
+            let at = TimestampMs::from_secs(30);
+            assert_eq!(forward.evaluate(&q, at), backward.evaluate(&q, at));
+        }
+        backward.record_value(key("auth:80"), TimestampMs::from_secs(9), 9.0);
+        assert_ne!(forward, backward);
+    }
+
+    #[test]
+    fn pushing_by_handle_matches_recording_by_key() {
+        let mut by_key = MetricStore::new();
+        let mut by_handle = MetricStore::new();
+        let search = by_handle.resolve(&key("search:80"));
+        let product = by_handle.resolve(&key("product:80"));
+        assert_eq!(by_handle.resolve(&key("search:80")), search);
+        for t in 0..6 {
+            let (k, id) = if t % 2 == 0 {
+                (key("search:80"), search)
+            } else {
+                (key("product:80"), product)
+            };
+            let sample = Sample::new(TimestampMs::from_secs(t), t as f64);
+            by_key.record(k, sample);
+            by_handle.push(id, sample);
+        }
+        assert_eq!(by_key, by_handle);
+        assert_eq!(by_handle.series_count(), 2);
+        assert_eq!(by_handle.sample_count(), 6);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! simulated application traffic and engine-driven request-level traffic.
 
 use crate::sample::{Sample, SeriesKey, TimestampMs};
-use crate::stats::nearest_rank;
-use crate::store::SharedMetricStore;
+use crate::stats::{nearest_rank, total_order_key};
+use crate::store::{SeriesId, SharedMetricStore};
 use std::collections::BTreeMap;
 
 /// Cumulative counter for requests routed to one version.
@@ -48,8 +48,9 @@ pub const REQUESTS_SHED_TOTAL: &str = "requests_shed_total";
 /// Per-tick backend replica utilisation gauge per version (percent).
 pub const BACKEND_UTILIZATION: &str = "backend_utilization";
 
-/// One published series of a version: its key, built once, and the value
-/// the next flush publishes (`None` publishes nothing).
+/// One published series of a version: its key, built once, its store
+/// handle, resolved on its first publish, and the value the next flush
+/// publishes (`None` publishes nothing).
 ///
 /// A counter's value is its running total: `None` until the version first
 /// counts (or is registered), then re-published on every flush — Prometheus
@@ -59,6 +60,10 @@ pub const BACKEND_UTILIZATION: &str = "backend_utilization";
 #[derive(Debug)]
 struct Series {
     key: SeriesKey,
+    /// Resolved on the first publish, not at creation: resolving creates
+    /// the series in the store, and a version that never publishes a
+    /// gauge must not own an empty series.
+    id: Option<SeriesId>,
     value: Option<f64>,
 }
 
@@ -68,6 +73,7 @@ impl Series {
             key: SeriesKey::new(metric)
                 .with_label("service", service)
                 .with_label("version", version),
+            id: None,
             value: None,
         }
     }
@@ -156,47 +162,61 @@ impl VersionSeries {
         self.window.latencies_ms = latencies_ms;
     }
 
-    fn series(&self) -> [&Series; 8] {
+    fn series_mut(&mut self) -> [&mut Series; 8] {
         [
-            &self.requests,
-            &self.errors,
-            &self.latency_mean,
-            &self.latency_p50,
-            &self.latency_p95,
-            &self.shed,
-            &self.utilization,
-            &self.shadows,
+            &mut self.requests,
+            &mut self.errors,
+            &mut self.latency_mean,
+            &mut self.latency_p50,
+            &mut self.latency_p95,
+            &mut self.shed,
+            &mut self.utilization,
+            &mut self.shadows,
         ]
     }
 }
 
 /// The nearest-rank p50 and p95 (the ranks of
 /// [`crate::SummaryStats::percentile`]) of a non-empty window, selected in
-/// place: the p95 selection partitions everything at or below p95 in front
-/// of it, where the p50 is then selected.
+/// place in [`f64::total_cmp`] order (so a NaN latency sorts last instead
+/// of panicking): the p95 selection partitions everything at or below p95
+/// in front of it, where the p50 is then selected.
 fn window_quantiles(latencies: &mut [f64]) -> (f64, f64) {
-    let by_value = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite values");
+    let key = |v: &f64| total_order_key(*v);
     let p95_rank = nearest_rank(latencies.len(), 95.0);
     let p50_rank = nearest_rank(latencies.len(), 50.0);
-    let (below, p95, _) = latencies.select_nth_unstable_by(p95_rank, by_value);
+    let (below, p95, _) = latencies.select_nth_unstable_by_key(p95_rank, key);
     let p95 = *p95;
     let p50 = if p50_rank == p95_rank {
         p95
     } else {
-        *below.select_nth_unstable_by(p50_rank, by_value).1
+        *below.select_nth_unstable_by_key(p50_rank, key).1
     };
     (p50, p95)
 }
 
+/// A version's place in one [`TrafficSeriesRecorder`], from
+/// [`TrafficSeriesRecorder::slot`]: callers that observe the same version
+/// over and over resolve its label once and then observe by slot. A slot
+/// is only meaningful for the recorder that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct VersionSlot(usize);
+
 /// Buffers routing outcomes per version and publishes them as metric
 /// series, one store lock per flush instead of per request. Each version's
-/// series keys are built once, on its first appearance; after that,
-/// buffering and flushing allocate nothing.
+/// series keys are built once, on its first appearance, and each series is
+/// looked up in the store once, on its first publish; after that,
+/// buffering and flushing allocate nothing and compare no keys.
+///
+/// Every `observe_*` method taking a label resolves the label's
+/// [`VersionSlot`] and calls its `observe_*_at` twin, which does the work.
 #[derive(Debug)]
 pub struct TrafficSeriesRecorder {
     store: SharedMetricStore,
     service_label: String,
-    versions: BTreeMap<String, VersionSeries>,
+    /// Version label → index into `versions`.
+    slots: BTreeMap<String, VersionSlot>,
+    versions: Vec<VersionSeries>,
 }
 
 impl TrafficSeriesRecorder {
@@ -206,7 +226,8 @@ impl TrafficSeriesRecorder {
         Self {
             store,
             service_label: service_label.into(),
-            versions: BTreeMap::new(),
+            slots: BTreeMap::new(),
+            versions: Vec::new(),
         }
     }
 
@@ -220,7 +241,8 @@ impl TrafficSeriesRecorder {
         at: TimestampMs,
     ) {
         for label in version_labels {
-            let version = self.version(label);
+            let slot = self.slot(label);
+            let version = &mut self.versions[slot.0];
             for counter in [
                 &mut version.requests,
                 &mut version.errors,
@@ -233,10 +255,29 @@ impl TrafficSeriesRecorder {
         self.flush(at);
     }
 
+    /// The slot of `version_label`, creating the version's series keys on
+    /// first sight. Creating a slot publishes nothing.
+    pub fn slot(&mut self, version_label: &str) -> VersionSlot {
+        if let Some(&slot) = self.slots.get(version_label) {
+            return slot;
+        }
+        let slot = VersionSlot(self.versions.len());
+        self.versions
+            .push(VersionSeries::new(&self.service_label, version_label));
+        self.slots.insert(version_label.to_string(), slot);
+        slot
+    }
+
     /// Buffers the outcome of one routed request. Allocation-free except
     /// for a version's first appearance and window growth.
     pub fn observe_request(&mut self, version_label: &str, latency_ms: f64, success: bool) {
-        let window = &mut self.version(version_label).window;
+        let slot = self.slot(version_label);
+        self.observe_request_at(slot, latency_ms, success);
+    }
+
+    /// [`Self::observe_request`] for a resolved slot.
+    pub fn observe_request_at(&mut self, slot: VersionSlot, latency_ms: f64, success: bool) {
+        let window = &mut self.versions[slot.0].window;
         window.requests += 1;
         window.latency_ms_sum += latency_ms;
         window.latencies_ms.push(latency_ms);
@@ -248,46 +289,58 @@ impl TrafficSeriesRecorder {
     /// Buffers one request (primary or shadow) the version's backend shed
     /// from a full queue or timed out past its deadline.
     pub fn observe_shed(&mut self, version_label: &str) {
-        self.version(version_label).window.shed += 1;
+        let slot = self.slot(version_label);
+        self.observe_shed_at(slot);
+    }
+
+    /// [`Self::observe_shed`] for a resolved slot.
+    pub fn observe_shed_at(&mut self, slot: VersionSlot) {
+        self.versions[slot.0].window.shed += 1;
     }
 
     /// Buffers the version's backend replica utilisation (percent) sampled
     /// over the current tick; the latest value per version wins.
     pub fn observe_utilization(&mut self, version_label: &str, percent: f64) {
-        self.version(version_label).window.utilization = Some(percent);
+        let slot = self.slot(version_label);
+        self.observe_utilization_at(slot, percent);
+    }
+
+    /// [`Self::observe_utilization`] for a resolved slot.
+    pub fn observe_utilization_at(&mut self, slot: VersionSlot, percent: f64) {
+        self.versions[slot.0].window.utilization = Some(percent);
     }
 
     /// Buffers one dark-launch shadow copy sent to `version_label`.
     pub fn observe_shadow(&mut self, version_label: &str) {
-        self.version(version_label).window.shadows += 1;
+        let slot = self.slot(version_label);
+        self.observe_shadow_at(slot);
+    }
+
+    /// [`Self::observe_shadow`] for a resolved slot.
+    pub fn observe_shadow_at(&mut self, slot: VersionSlot) {
+        self.versions[slot.0].window.shadows += 1;
     }
 
     /// Publishes the buffered window (and the running counter totals) at
     /// virtual time `at`, then clears the window.
     pub fn flush(&mut self, at: TimestampMs) {
-        for version in self.versions.values_mut() {
+        for version in &mut self.versions {
             version.close_window();
         }
-        self.store.record_many(
-            self.versions
-                .values()
-                .flat_map(VersionSeries::series)
-                .filter_map(|series| Some((&series.key, Sample::new(at, series.value?)))),
-        );
+        let versions = &mut self.versions;
+        self.store.with_store_mut(|store| {
+            for series in versions.iter_mut().flat_map(VersionSeries::series_mut) {
+                if let Some(value) = series.value {
+                    let id = *series.id.get_or_insert_with(|| store.resolve(&series.key));
+                    store.push(id, Sample::new(at, value));
+                }
+            }
+        });
     }
 
     /// The underlying store handle.
     pub fn store(&self) -> &SharedMetricStore {
         &self.store
-    }
-
-    /// The version's series, created with its keys on first sight.
-    fn version(&mut self, label: &str) -> &mut VersionSeries {
-        if !self.versions.contains_key(label) {
-            let series = VersionSeries::new(&self.service_label, label);
-            self.versions.insert(label.to_string(), series);
-        }
-        self.versions.get_mut(label).expect("just ensured")
     }
 }
 
@@ -352,6 +405,45 @@ mod tests {
         recorder.flush(TimestampMs::from_secs(2));
         recorder.flush(TimestampMs::from_secs(3));
         assert_eq!(last(&store, REQUESTS_SHED_TOTAL, "v1", 5), Some(3.0));
+    }
+
+    #[test]
+    fn a_nan_latency_sorts_last_instead_of_panicking() {
+        let store = SharedMetricStore::new();
+        let mut recorder = TrafficSeriesRecorder::new(store.clone(), "search");
+        for latency in [1.0, f64::NAN, 2.0] {
+            recorder.observe_request("v1", latency, true);
+        }
+        recorder.flush(TimestampMs::from_secs(1));
+        // In total order 1.0 < 2.0 < NaN: p50 is rank 1, p95 rank 2.
+        let gauge = |metric: &str| {
+            let key = SeriesKey::new(metric)
+                .with_label("service", "search")
+                .with_label("version", "v1");
+            store.with_store(|s| s.series(&key).and_then(|s| s.last()).map(|s| s.value))
+        };
+        assert_eq!(gauge(REQUEST_LATENCY_P50_MS), Some(2.0));
+        assert!(gauge(REQUEST_LATENCY_P95_MS).is_some_and(f64::is_nan));
+    }
+
+    #[test]
+    fn versions_publish_no_series_before_they_have_a_value() {
+        let store = SharedMetricStore::new();
+        let mut recorder = TrafficSeriesRecorder::new(store.clone(), "search");
+        recorder.register_versions(["v1"], TimestampMs::ZERO);
+        // The four counters, no latency or utilisation gauge.
+        assert_eq!(store.series_count(), 4);
+        let v2 = recorder.slot("v2");
+        recorder.flush(TimestampMs::from_secs(1));
+        assert_eq!(store.series_count(), 4);
+        recorder.observe_utilization_at(v2, 50.0);
+        recorder.flush(TimestampMs::from_secs(2));
+        assert_eq!(store.series_count(), 5);
+        recorder.observe_request("v1", 5.0, true);
+        recorder.flush(TimestampMs::from_secs(3));
+        // Mean, p50 and p95 of v1.
+        assert_eq!(store.series_count(), 8);
+        assert_eq!(recorder.slot("v2"), v2);
     }
 
     #[test]

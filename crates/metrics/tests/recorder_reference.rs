@@ -3,6 +3,9 @@
 //! builds every [`SeriesKey`] afresh, reads the per-tick quantiles with
 //! [`SummaryStats::percentile`] (which sorts a copy) and records sample by
 //! sample. Over random observe/flush sequences both leave the same store.
+//! Each operation reaches the recorder through its label API or its slot
+//! API, chosen at random; a slot is resolved on first use and then reused
+//! across flushes.
 
 use bifrost_metrics::traffic::{
     BACKEND_UTILIZATION, REQUESTS_SHED_TOTAL, REQUESTS_TOTAL, REQUEST_ERRORS, REQUEST_LATENCY_MS,
@@ -10,6 +13,7 @@ use bifrost_metrics::traffic::{
 };
 use bifrost_metrics::{
     Sample, SeriesKey, SharedMetricStore, SummaryStats, TimestampMs, TrafficSeriesRecorder,
+    VersionSlot,
 };
 use proptest::collection::vec as any_vec;
 use proptest::prelude::*;
@@ -146,40 +150,66 @@ fn decode(raw: u64) -> Op {
 }
 
 /// Runs `ops` through the recorder and the reference (with a final flush)
-/// and asserts both stores end up identical.
-fn assert_same_store(ops: &[Op]) -> Result<(), TestCaseError> {
+/// and asserts both stores end up identical. Op `i` reaches the recorder
+/// through the slot API when `via_slot[i]` is set, else by label.
+fn assert_same_store(ops: &[Op], via_slot: &[bool]) -> Result<(), TestCaseError> {
     let (store, reference_store) = (SharedMetricStore::new(), SharedMetricStore::new());
     let mut recorder = TrafficSeriesRecorder::new(store.clone(), SERVICE);
     let mut reference = ReferenceRecorder::default();
     recorder.register_versions(VERSIONS[..2].iter().copied(), TimestampMs::ZERO);
     reference.register(&reference_store, TimestampMs::ZERO);
+    let mut slots: [Option<VersionSlot>; 4] = [None; 4];
+    let mut slot_of = |recorder: &mut TrafficSeriesRecorder, version: usize| {
+        *slots[version].get_or_insert_with(|| recorder.slot(VERSIONS[version]))
+    };
     let mut at = TimestampMs::ZERO;
-    for op in ops.iter().copied().chain([Op::Flush]) {
+    for (i, op) in ops.iter().copied().chain([Op::Flush]).enumerate() {
+        let via_slot = via_slot.get(i).copied().unwrap_or(false);
         match op {
             Op::Request {
                 version,
                 latency_ms,
                 success,
             } => {
-                recorder.observe_request(VERSIONS[version], latency_ms, success);
+                if via_slot {
+                    let slot = slot_of(&mut recorder, version);
+                    recorder.observe_request_at(slot, latency_ms, success);
+                } else {
+                    recorder.observe_request(VERSIONS[version], latency_ms, success);
+                }
                 reference.observe_request(VERSIONS[version], latency_ms, success);
             }
             Op::Shadow(version) => {
-                recorder.observe_shadow(VERSIONS[version]);
+                if via_slot {
+                    let slot = slot_of(&mut recorder, version);
+                    recorder.observe_shadow_at(slot);
+                } else {
+                    recorder.observe_shadow(VERSIONS[version]);
+                }
                 *reference
                     .shadow_window
                     .entry(VERSIONS[version].to_string())
                     .or_default() += 1;
             }
             Op::Shed(version) => {
-                recorder.observe_shed(VERSIONS[version]);
+                if via_slot {
+                    let slot = slot_of(&mut recorder, version);
+                    recorder.observe_shed_at(slot);
+                } else {
+                    recorder.observe_shed(VERSIONS[version]);
+                }
                 *reference
                     .shed_window
                     .entry(VERSIONS[version].to_string())
                     .or_default() += 1;
             }
             Op::Utilization(version, percent) => {
-                recorder.observe_utilization(VERSIONS[version], percent);
+                if via_slot {
+                    let slot = slot_of(&mut recorder, version);
+                    recorder.observe_utilization_at(slot, percent);
+                } else {
+                    recorder.observe_utilization(VERSIONS[version], percent);
+                }
                 reference
                     .utilization_window
                     .insert(VERSIONS[version].to_string(), percent);
@@ -206,9 +236,12 @@ fn request(version: usize, latency_ms: f64) -> Op {
 
 proptest! {
     #[test]
-    fn recorder_matches_reference_flush(raw in any_vec(0u64..1_000_000, 1..400)) {
+    fn recorder_matches_reference_flush(
+        raw in any_vec(0u64..1_000_000, 1..400),
+        via_slot in any_vec(proptest::bool::ANY, 400..401),
+    ) {
         let ops: Vec<Op> = raw.into_iter().map(decode).collect();
-        assert_same_store(&ops)?;
+        assert_same_store(&ops, &via_slot)?;
     }
 }
 
@@ -234,5 +267,13 @@ fn windows_of_one_two_and_even_lengths_with_duplicates() {
         Op::Shed(3),
         Op::Utilization(2, 40.0),
     ]);
-    assert_same_store(&ops).unwrap();
+    // By label, by slot, and alternating between the two.
+    let n = ops.len() + 1;
+    for via_slot in [
+        vec![false; n],
+        vec![true; n],
+        (0..n).map(|i| i % 2 == 1).collect(),
+    ] {
+        assert_same_store(&ops, &via_slot).unwrap();
+    }
 }

@@ -39,9 +39,10 @@ use std::time::Duration;
 /// Counters describing what a proxy has done so far.
 ///
 /// A proxy keeps one set behind one mutex. Batch routing tallies into a
-/// local copy and folds it in with [`ProxyStats::merge`], whose aggregates
-/// are sums and `BTreeMap`-keyed tallies, so a batch reports exactly the
-/// statistics of routing its requests one by one.
+/// local copy, counting versions in a short vector that it folds into
+/// `per_version` once, and merges the copy in with [`ProxyStats::merge`],
+/// whose aggregates are sums and `BTreeMap`-keyed tallies, so a batch
+/// reports exactly the statistics of routing its requests one by one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProxyStats {
     /// Total requests routed.
@@ -57,12 +58,17 @@ pub struct ProxyStats {
 }
 
 impl ProxyStats {
-    /// Folds one routing decision into the counters — the single
-    /// bookkeeping path shared by single-request and batch routing.
+    /// Folds one routing decision into the counters.
     fn tally(&mut self, decision: &RoutingDecision) {
+        self.count(decision);
+        *self.per_version.entry(decision.primary).or_insert(0) += 1;
+    }
+
+    /// Folds one routing decision into every counter but `per_version` —
+    /// the bookkeeping shared by single-request and batch routing.
+    fn count(&mut self, decision: &RoutingDecision) {
         self.requests += 1;
         self.shadow_copies += decision.shadows.len() as u64;
-        *self.per_version.entry(decision.primary).or_insert(0) += 1;
         if decision.from_sticky_session {
             self.sticky_hits += 1;
         }
@@ -275,25 +281,40 @@ impl BifrostProxy {
     ///   token-generator lock taken at most once per batch;
     /// - a session shard is locked only for an actual lookup or bind, which
     ///   only anonymous clients under a sticky split perform;
-    /// - counters are tallied locally and merged into the statistics mutex
-    ///   once per batch.
+    /// - counters are tallied locally, versions in a short vector, and
+    ///   merged into the statistics mutex once per batch;
+    /// - the CPU cost, which depends only on the configuration and the
+    ///   number of shadow copies, is computed once per shadow-copy count.
     pub fn route_many_costed<'a, I>(&self, requests: I) -> Vec<(RoutingDecision, Duration)>
     where
         I: IntoIterator<Item = &'a ProxyRequest>,
     {
         let mut tokens = LazyTokens::new(&self.tokens);
         let mut tally = ProxyStats::default();
+        let mut versions: Vec<(VersionId, u64)> = Vec::new();
+        // Costs by shadow-copy count, filled on demand.
+        let mut costs: Vec<Duration> = Vec::new();
         let routed = requests
             .into_iter()
             .map(|request| {
                 let decision =
                     route_one(&self.compiled, &self.sessions, &mut tokens, request, None);
-                tally.tally(&decision);
-                let cost = self.processing_cost(&decision);
-                (decision, cost)
+                tally.count(&decision);
+                match versions.iter_mut().find(|(v, _)| *v == decision.primary) {
+                    Some((_, count)) => *count += 1,
+                    None => versions.push((decision.primary, 1)),
+                }
+                let shadows = decision.shadows.len();
+                while costs.len() <= shadows {
+                    costs.push(self.cost_with_shadows(costs.len()));
+                }
+                (decision, costs[shadows])
             })
             .collect();
         drop(tokens);
+        for (version, count) in versions {
+            *tally.per_version.entry(version).or_insert(0) += count;
+        }
         self.stats.lock().merge(&tally);
         routed
     }
@@ -301,6 +322,12 @@ impl BifrostProxy {
     /// The CPU demand of processing one request under the current
     /// configuration, given the routing decision produced for it.
     pub fn processing_cost(&self, decision: &RoutingDecision) -> Duration {
+        self.cost_with_shadows(decision.shadows.len())
+    }
+
+    /// The CPU demand of one request with `shadow_copies` shadow copies
+    /// under the current configuration.
+    fn cost_with_shadows(&self, shadow_copies: usize) -> Duration {
         if !self.is_active() {
             return self.overhead.passthrough_cost();
         }
@@ -308,8 +335,7 @@ impl BifrostProxy {
             Some(rule) => (rule.mode, rule.sticky),
             None => (RoutingMode::CookieBased, false),
         };
-        self.overhead
-            .request_cost(mode, sticky, decision.shadows.len())
+        self.overhead.request_cost(mode, sticky, shadow_copies)
     }
 
     /// Read access to the sticky-session table (for tests and dashboards).
