@@ -50,45 +50,62 @@ struct Options {
     json: Option<Option<String>>,
 }
 
-fn value_of(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Prints `message` and the usage text, then exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    std::process::exit(2);
 }
 
-/// Parses a count flag that must be at least 1 when given: an explicit 0
-/// (or garbage) is a usage error, not a silently clamped degenerate run.
-fn parse_count(args: &[String], flag: &str) -> Option<usize> {
-    let value = value_of(args, flag)?;
-    match value.parse::<usize>() {
-        Ok(parsed) if parsed >= 1 => Some(parsed),
-        _ => {
-            eprintln!("{flag} must be a positive integer, got '{value}'\n{USAGE}");
-            std::process::exit(2);
-        }
+/// The value following `flag`, parsed as `T`; a missing or malformed value
+/// is a usage error rather than a silent fallback to the default.
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
+    let Some(value) = value else {
+        usage_error(&format!("{flag} requires a value"));
+    };
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} got a malformed value '{value}'")))
+}
+
+/// Parses a count flag that must be at least 1: an explicit 0 is a usage
+/// error, not a silently clamped degenerate run.
+fn flag_count(flag: &str, value: Option<&String>) -> usize {
+    match flag_value(flag, value) {
+        0 => usage_error(&format!("{flag} must be a positive integer, got '0'")),
+        count => count,
     }
 }
 
+/// Parses the options of the figure commands; every flag must be known and
+/// every value well formed.
 fn parse_options(args: &[String]) -> Options {
-    let parse = |flag: &str| value_of(args, flag).and_then(|v| v.parse::<usize>().ok());
-    let json = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).filter(|v| !v.starts_with("--")).cloned());
-    let base_seed = value_of(args, "--base-seed").and_then(|v| v.parse::<u64>().ok());
-    let trials = parse_count(args, "--trials").unwrap_or(1);
+    let mut quick = false;
+    let (mut max, mut requests, mut base_seed, mut json) = (None, None, None, None);
+    let mut trials = 1;
     // Trials are seed-deterministic and independent, so the only sensible
     // default is to use the machine (run_trials caps workers at the trial
     // count, so single-trial runs stay serial).
-    let threads = parse_count(args, "--threads").unwrap_or_else(RunnerConfig::auto_threads);
+    let mut threads = None;
+    let mut args = args.iter().peekable();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--quick" => quick = true,
+            "--max" => max = Some(flag_value(flag, args.next())),
+            "--requests" => requests = Some(flag_value(flag, args.next())),
+            "--trials" => trials = flag_count(flag, args.next()),
+            "--threads" => threads = Some(flag_count(flag, args.next())),
+            "--base-seed" => base_seed = Some(flag_value::<u64>(flag, args.next())),
+            "--json" => json = Some(args.next_if(|v| !v.starts_with("--")).cloned()),
+            other => usage_error(&format!("unknown option '{other}'")),
+        }
+    }
     Options {
-        quick: args.iter().any(|a| a == "--quick"),
-        max: parse("--max"),
-        requests: parse("--requests"),
+        quick,
+        max,
+        requests,
         runner: RunnerConfig::default()
             .with_trials(trials)
-            .with_threads(threads)
+            .with_threads(threads.unwrap_or_else(RunnerConfig::auto_threads))
             .with_base_seed(base_seed.map(Seed::new).unwrap_or_default()),
         seeded: base_seed.is_some(),
         json,
@@ -164,11 +181,26 @@ fn run_figure_command(command: &str, options: &Options) {
 }
 
 fn run_gate(args: &[String]) -> ! {
-    let load = |flag: &str| -> BenchReport {
-        let path = value_of(args, flag).unwrap_or_else(|| {
-            eprintln!("gate requires {flag} <report.json>\n{USAGE}");
-            std::process::exit(2);
-        });
+    let (mut candidate, mut baseline, mut threshold) = (None, None, 0.2_f64);
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--candidate" => candidate = args.next().cloned(),
+            "--baseline" => baseline = args.next().cloned(),
+            "--threshold" => threshold = flag_value(flag, args.next()),
+            other => usage_error(&format!("unknown gate option '{other}'")),
+        }
+    }
+    // A NaN threshold would compare false against every regression and
+    // pass any candidate.
+    if !(threshold.is_finite() && threshold >= 0.0) {
+        usage_error(&format!(
+            "--threshold must be a finite number >= 0, got '{threshold}'"
+        ));
+    }
+    let load = |flag: &str, path: Option<String>| -> BenchReport {
+        let path =
+            path.unwrap_or_else(|| usage_error(&format!("gate requires {flag} <report.json>")));
         let text = std::fs::read_to_string(&path).unwrap_or_else(|error| {
             eprintln!("cannot read '{path}': {error}");
             std::process::exit(2);
@@ -178,11 +210,8 @@ fn run_gate(args: &[String]) -> ! {
             std::process::exit(2);
         })
     };
-    let threshold = value_of(args, "--threshold")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.2);
-    let candidate = load("--candidate");
-    let baseline = load("--baseline");
+    let candidate = load("--candidate", candidate);
+    let baseline = load("--baseline", baseline);
     let result = bifrost_bench::gate(&candidate, &baseline, threshold);
     print!("{}", result.render());
     std::process::exit(if result.passed() { 0 } else { 1 });
@@ -264,19 +293,19 @@ fn run_check_baselines(dir: Option<&str>) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("all");
-    let options = parse_options(&args);
+    let flags = args.get(1..).unwrap_or_default();
 
     match command {
-        "gate" => run_gate(&args),
+        "gate" => run_gate(flags),
         "table1" => {
-            let rows = table1::run(options.quick);
+            let rows = table1::run(parse_options(flags).quick);
             print!("{}", report::render_table1(&rows));
         }
         "list-points" => {
-            let figure = args.get(1).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("list-points requires a figure name\n{USAGE}");
-                std::process::exit(2);
-            });
+            let figure = args
+                .get(1)
+                .map(String::as_str)
+                .unwrap_or_else(|| usage_error("list-points requires a figure name"));
             let names = suite::point_names(figure).unwrap_or_else(|| {
                 eprintln!("unknown figure '{figure}'");
                 std::process::exit(2);
@@ -288,10 +317,10 @@ fn main() {
         "check-baselines" => run_check_baselines(args.get(1).map(String::as_str)),
         "fig6" | "fig7" | "fig8" | "fig7_fig8" | "fig9" | "fig10" | "fig9_fig10" | "traffic"
         | "sessions" | "backends" => {
-            run_figure_command(command, &options);
+            run_figure_command(command, &parse_options(flags));
         }
         "all" => {
-            let mut options = options;
+            let mut options = parse_options(flags);
             // One explicit --json path cannot hold several figures: fall
             // back to the per-figure BENCH_<fig>.json names.
             if let Some(Some(path)) = &options.json {
@@ -307,9 +336,6 @@ fn main() {
         "help" | "--help" | "-h" => {
             eprintln!("{USAGE}");
         }
-        other => {
-            eprintln!("unknown experiment '{other}'\n{USAGE}");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown experiment '{other}'")),
     }
 }

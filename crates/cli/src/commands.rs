@@ -6,9 +6,8 @@ use bifrost_bench::{render_bench_report, suite};
 use bifrost_casestudy::prelude::*;
 use bifrost_core::seed::Seed;
 use bifrost_dsl::{BackendDoc, EngineDoc};
-use bifrost_engine::{
-    BackendDefaults, BackendProfile, BifrostEngine, EngineConfig, QueuedBackend, TrafficProfile,
-};
+use bifrost_engine::backends::{DEFAULT_BACKEND_TIMEOUT, DEFAULT_QUEUE_CAPACITY};
+use bifrost_engine::{BackendProfile, BifrostEngine, EngineConfig, QueuedBackend, TrafficProfile};
 use bifrost_metrics::SharedMetricStore;
 use bifrost_simnet::SimTime;
 use bifrost_workload::LoadProfile;
@@ -381,26 +380,28 @@ pub fn run_command(command: &Command) -> Result<CommandOutput, CliError> {
             let strategy = bifrost_dsl::compile(&document)?;
             // CLI flag > strategy file's engine section > engine default.
             let shards = session_shards.or(document.engine.session_shards);
-            // Any backend flag opts profile-only versions into queued
-            // replicas with the given shape.
-            let backend_defaults = (backend_replicas.is_some()
+            // Any backend flag gives versions without a `backends:` entry
+            // queued replicas of the default profile's service time, shaped
+            // by the flags.
+            let flagged_backend = (backend_replicas.is_some()
                 || backend_queue.is_some()
                 || backend_timeout_ms.is_some())
             .then(|| {
-                BackendDefaults::new(
-                    backend_replicas.unwrap_or(1),
-                    backend_queue.unwrap_or(bifrost_engine::backends::DEFAULT_QUEUE_CAPACITY),
-                    backend_timeout_ms
-                        .map(Duration::from_millis)
-                        .unwrap_or(bifrost_engine::backends::DEFAULT_BACKEND_TIMEOUT),
-                )
+                QueuedBackend::new(BackendProfile::default().service_time)
+                    .with_replicas(backend_replicas.unwrap_or(1))
+                    .with_queue_capacity(backend_queue.unwrap_or(DEFAULT_QUEUE_CAPACITY))
+                    .with_timeout(
+                        backend_timeout_ms
+                            .map(Duration::from_millis)
+                            .unwrap_or(DEFAULT_BACKEND_TIMEOUT),
+                    )
             });
             let options = RunOptions {
                 verbose: *verbose,
                 deadline_secs: *deadline_secs,
                 session_shards: shards,
                 traffic_rps: *traffic_rps,
-                backend_defaults,
+                flagged_backend,
             };
             Ok(enact_strategy(strategy, &document.engine, &options))
         }
@@ -473,7 +474,9 @@ struct RunOptions {
     deadline_secs: u64,
     session_shards: Option<usize>,
     traffic_rps: Option<f64>,
-    backend_defaults: Option<BackendDefaults>,
+    /// The backend of versions without a `backends:` entry when a backend
+    /// flag was given; `None` leaves them on the default profile.
+    flagged_backend: Option<QueuedBackend>,
 }
 
 /// Builds the queued backend of one `engine: backends:` declaration.
@@ -501,9 +504,6 @@ fn enact_strategy(
     let mut config = EngineConfig::default();
     if let Some(shards) = options.session_shards {
         config = config.with_session_shards(shards);
-    }
-    if let Some(defaults) = options.backend_defaults {
-        config = config.with_backend_defaults(defaults);
     }
     let mut engine = BifrostEngine::new(config);
     engine.register_store_provider("prometheus", store.clone());
@@ -543,14 +543,14 @@ fn enact_strategy(
                 let Some(version) = catalog.version(*vid) else {
                     continue;
                 };
-                profile = match engine_doc
+                let queued = engine_doc
                     .backends
                     .iter()
                     .find(|b| b.matches(&service_name, version.name()))
-                {
-                    Some(doc) => {
-                        profile.with_queued_backend(*vid, version.name(), queued_from_doc(doc))
-                    }
+                    .map(queued_from_doc)
+                    .or(options.flagged_backend);
+                profile = match queued {
+                    Some(queued) => profile.with_queued_backend(*vid, version.name(), queued),
                     None => profile.with_backend(*vid, version.name(), BackendProfile::default()),
                 };
             }
@@ -883,6 +883,60 @@ strategy:
         // The traffic summary line reports routed volume and latency.
         assert!(output.text.contains("traffic search:"), "{}", output.text);
         assert!(output.text.contains("requests"), "{}", output.text);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn backend_flags_give_undeclared_versions_queued_replicas() {
+        // No `backends:` entries: every version gets the default 10 ms
+        // profile. 500 rps far exceeds the 100 rps one such replica serves,
+        // so the flags' 1-replica, queue-1 shape must shed or time out,
+        // while the unlimited-capacity profile without flags never does.
+        let dir = std::env::temp_dir().join(format!("bifrost-cli-flags-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("flags.yml");
+        fs::write(
+            &path,
+            r#"
+name: backend-flags
+strategy:
+  phases:
+    - phase: canary
+      service: search
+      stable: v1
+      candidate: v2
+      traffic: 20
+      duration: 30
+"#,
+        )
+        .unwrap();
+        let run = |replicas: Option<usize>, queue: Option<usize>| {
+            let output = run_command(&Command::Run {
+                path: path.clone(),
+                verbose: false,
+                deadline_secs: 120,
+                session_shards: None,
+                traffic_rps: Some(500.0),
+                backend_replicas: replicas,
+                backend_queue: queue,
+                backend_timeout_ms: None,
+            })
+            .unwrap();
+            let line = output
+                .text
+                .lines()
+                .find(|l| l.starts_with("traffic search:"))
+                .unwrap_or_else(|| panic!("no traffic line in {}", output.text))
+                .to_string();
+            let count = |label: &str| -> u64 {
+                let (before, _) = line.split_once(label).unwrap();
+                before.rsplit(' ').next().unwrap().parse().unwrap()
+            };
+            (count(" shed"), count(" timed out"))
+        };
+        let (shed, timed_out) = run(Some(1), Some(1));
+        assert!(shed + timed_out > 0, "shed {shed}, timed out {timed_out}");
+        assert_eq!(run(None, None), (0, 0));
         fs::remove_dir_all(&dir).ok();
     }
 

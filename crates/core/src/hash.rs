@@ -2,11 +2,13 @@
 //!
 //! Several components hash identities into uniform draws or bucket indices:
 //! the proxy buckets session tokens into traffic splits, salts dark-launch
-//! cohort draws, and assigns tokens to session-store shards. They all build
-//! on the same splitmix64 finalizer so the statistical properties (full
-//! avalanche, uniform low bits) are shared and tested in one place — and so
-//! two draws over the same identity can be decorrelated by salting instead
-//! of by inventing new mixers.
+//! cohort draws, and assigns tokens to session-store shards; user selection
+//! buckets user ids; the simulator's generator expands its seed. They all
+//! build on the same splitmix64 finalizer so the statistical properties
+//! (full avalanche, uniform low bits) are shared and tested in one place —
+//! and so two draws over the same identity can be decorrelated by salting
+//! instead of by inventing new mixers. Names (seed-stream labels, proxy
+//! names) are hashed with [`fnv1a`].
 
 /// The splitmix64 increment ("golden gamma"), also used as the additive
 /// pre-whitening step when finalizing raw identity bits.
@@ -48,6 +50,15 @@ pub const fn fold128(raw: u128) -> u64 {
     mix64((raw as u64) ^ ((raw >> 64) as u64))
 }
 
+/// The 64-bit FNV-1a hash of `bytes`: a short, stable digest for turning
+/// names into seeds.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,5 +87,13 @@ mod tests {
         assert_ne!(fold128(base), fold128(base ^ 1));
         assert_ne!(fold128(base), fold128(base ^ (1u128 << 100)));
         assert_eq!(fold128(base), fold128(base));
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Reference values of 64-bit FNV-1a (Fowler, Noll, Vo).
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

@@ -76,7 +76,7 @@ pub use state::{State, StateBuilder};
 pub use strategy::{Strategy, StrategyBuilder};
 pub use thresholds::Thresholds;
 pub use timer::Timer;
-pub use user::{User, UserAttribute, UserPopulation, UserSelector};
+pub use user::{User, UserAttribute, UserSelector};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
@@ -98,5 +98,5 @@ pub mod prelude {
     pub use crate::strategy::{Strategy, StrategyBuilder};
     pub use crate::thresholds::Thresholds;
     pub use crate::timer::Timer;
-    pub use crate::user::{User, UserAttribute, UserPopulation, UserSelector};
+    pub use crate::user::{User, UserAttribute, UserSelector};
 }

@@ -10,6 +10,7 @@
 //! [`TrialConfig`] bundles the base seed with a trial's index; it is the
 //! value the `bifrost-bench` trial runner passes to each trial closure.
 
+use crate::hash;
 use std::fmt;
 
 /// A deterministic RNG seed threaded through every seedable layer.
@@ -41,15 +42,10 @@ impl Seed {
 
     /// A decorrelated sub-seed for a named stream (e.g. `"workload"` vs
     /// `"latency-jitter"`), so layers seeded from the same trial seed do not
-    /// consume identical random sequences. Uses FNV-1a over the label,
+    /// consume identical random sequences. Uses [`hash::fnv1a`] over the label,
     /// folded into the seed.
     pub fn stream(self, label: &str) -> Seed {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in label.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Seed(self.0 ^ hash)
+        Seed(self.0 ^ hash::fnv1a(label.as_bytes()))
     }
 }
 

@@ -1,4 +1,4 @@
-//! Users, user attributes, populations, and the user selection function `η`.
+//! Users, user attributes, and the user selection function `η`.
 //!
 //! A user `uₖ ∈ U` connected to the system always uses exactly one version of
 //! a service; the selection function `η : U → V` decides which one. Bifrost
@@ -7,10 +7,9 @@
 //! thereof, which covers the selection approaches used by the paper's running
 //! example and by Facebook's Configurator.
 
+use crate::hash;
 use crate::ids::UserId;
 use crate::routing::Percentage;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// A single attribute of a user (e.g. `country = "US"`).
@@ -141,96 +140,10 @@ impl UserSelector {
 
 const BUCKETS: u64 = 10_000;
 
-/// Deterministically maps a user id onto one of [`BUCKETS`] buckets using a
-/// splitmix64-style finalizer. This mirrors hashing a sticky cookie.
+/// Deterministically maps a user id onto one of [`BUCKETS`] buckets with
+/// the splitmix64 finalizer. This mirrors hashing a sticky cookie.
 fn stable_bucket(user: UserId) -> u64 {
-    let mut z = user.raw().wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    z % BUCKETS
-}
-
-/// A population of users, used by the simulation substrate and by examples to
-/// drive selection functions against realistic user bases.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct UserPopulation {
-    users: Vec<User>,
-}
-
-impl UserPopulation {
-    /// Creates an empty population.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Generates `count` synthetic users with a `country` attribute drawn
-    /// from a fixed distribution (60 % US, 25 % EU, 15 % APAC), seeded for
-    /// reproducibility.
-    pub fn synthetic(count: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let users = (0..count)
-            .map(|i| {
-                let roll: f64 = rng.gen();
-                let country = if roll < 0.60 {
-                    "US"
-                } else if roll < 0.85 {
-                    "EU"
-                } else {
-                    "APAC"
-                };
-                User::new(UserId::new(i as u64)).with_attribute("country", country)
-            })
-            .collect();
-        Self { users }
-    }
-
-    /// Adds a user to the population.
-    pub fn push(&mut self, user: User) {
-        self.users.push(user);
-    }
-
-    /// The users in the population.
-    pub fn users(&self) -> &[User] {
-        &self.users
-    }
-
-    /// Number of users.
-    pub fn len(&self) -> usize {
-        self.users.len()
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.users.is_empty()
-    }
-
-    /// Returns the users selected by `selector`.
-    pub fn select<'a>(&'a self, selector: &'a UserSelector) -> impl Iterator<Item = &'a User> {
-        self.users.iter().filter(move |u| selector.selects(u))
-    }
-
-    /// Fraction of the population selected by `selector` (0.0–1.0).
-    pub fn selected_fraction(&self, selector: &UserSelector) -> f64 {
-        if self.users.is_empty() {
-            return 0.0;
-        }
-        self.select(selector).count() as f64 / self.users.len() as f64
-    }
-}
-
-impl FromIterator<User> for UserPopulation {
-    fn from_iter<T: IntoIterator<Item = User>>(iter: T) -> Self {
-        Self {
-            users: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<User> for UserPopulation {
-    fn extend<T: IntoIterator<Item = User>>(&mut self, iter: T) {
-        self.users.extend(iter);
-    }
+    hash::mix64(user.raw().wrapping_add(hash::GOLDEN_GAMMA)) % BUCKETS
 }
 
 #[cfg(test)]
@@ -249,26 +162,51 @@ mod tests {
         assert_eq!(user.attributes().len(), 2);
     }
 
+    /// `count` users with a `country` attribute drawn from a fixed
+    /// distribution (60 % US, 25 % EU, 15 % APAC), seeded for
+    /// reproducibility.
+    fn synthetic_users(count: usize, seed: u64) -> Vec<User> {
+        let mut state = seed;
+        (0..count)
+            .map(|i| {
+                let roll = (hash::splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+                let country = if roll < 0.60 {
+                    "US"
+                } else if roll < 0.85 {
+                    "EU"
+                } else {
+                    "APAC"
+                };
+                User::new(UserId::new(i as u64)).with_attribute("country", country)
+            })
+            .collect()
+    }
+
+    /// Fraction of `users` selected by `selector`.
+    fn selected_fraction(users: &[User], selector: &UserSelector) -> f64 {
+        users.iter().filter(|u| selector.selects(u)).count() as f64 / users.len() as f64
+    }
+
     #[test]
     fn all_selector_matches_everyone() {
-        let pop = UserPopulation::synthetic(100, 7);
-        assert_eq!(pop.selected_fraction(&UserSelector::All), 1.0);
+        let users = synthetic_users(100, 7);
+        assert_eq!(selected_fraction(&users, &UserSelector::All), 1.0);
     }
 
     #[test]
     fn attribute_selector_filters() {
-        let pop = UserPopulation::synthetic(2_000, 7);
-        let us = pop.selected_fraction(&UserSelector::attribute("country", "US"));
+        let users = synthetic_users(2_000, 7);
+        let us = selected_fraction(&users, &UserSelector::attribute("country", "US"));
         // 60 % +- sampling noise
         assert!(us > 0.5 && us < 0.7, "us fraction {us}");
     }
 
     #[test]
     fn percentage_selector_is_deterministic_and_close() {
-        let pop = UserPopulation::synthetic(20_000, 3);
+        let users = synthetic_users(20_000, 3);
         let selector = UserSelector::percentage(Percentage::new(5.0).unwrap());
-        let f1 = pop.selected_fraction(&selector);
-        let f2 = pop.selected_fraction(&selector);
+        let f1 = selected_fraction(&users, &selector);
+        let f2 = selected_fraction(&users, &selector);
         assert_eq!(f1, f2, "selection must be deterministic");
         assert!((f1 - 0.05).abs() < 0.01, "fraction {f1} not near 5%");
     }
@@ -277,10 +215,10 @@ mod tests {
     fn percentage_selector_membership_is_monotone_in_percentage() {
         // A user selected at 5% must also be selected at 20%: this is the
         // property that makes gradual rollouts only ever *add* users.
-        let pop = UserPopulation::synthetic(5_000, 11);
+        let users = synthetic_users(5_000, 11);
         let small = UserSelector::percentage(Percentage::new(5.0).unwrap());
         let large = UserSelector::percentage(Percentage::new(20.0).unwrap());
-        for user in pop.users() {
+        for user in &users {
             if small.selects(user) {
                 assert!(
                     large.selects(user),
@@ -312,16 +250,17 @@ mod tests {
     }
 
     #[test]
-    fn population_collects_and_extends() {
-        let mut pop: UserPopulation = (0..3).map(|i| User::new(UserId::new(i))).collect();
-        pop.extend(vec![User::new(UserId::new(3))]);
-        assert_eq!(pop.len(), 4);
-        assert!(!pop.is_empty());
-    }
-
-    #[test]
-    fn empty_population_fraction_is_zero() {
-        let pop = UserPopulation::new();
-        assert_eq!(pop.selected_fraction(&UserSelector::All), 0.0);
+    fn percentage_membership_is_pinned() {
+        // Which of user ids 0..10,000 a 5 % and a 20 % sample select
+        // (count and id sum). Canary cohorts, and every seeded figure
+        // built on them, must keep the same users across changes.
+        for (percent, count, id_sum) in [(5.0, 510, 2_513_143), (20.0, 1_970, 9_768_668)] {
+            let selector = UserSelector::percentage(Percentage::new(percent).unwrap());
+            let selected: Vec<u64> = (0..10_000)
+                .filter(|&id| selector.selects(&User::new(UserId::new(id))))
+                .collect();
+            assert_eq!(selected.len(), count, "{percent}%");
+            assert_eq!(selected.iter().sum::<u64>(), id_sum, "{percent}%");
+        }
     }
 }

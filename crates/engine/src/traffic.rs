@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
-use crate::backends::{BackendDefaults, BackendDispatch, BackendFleet, QueuedBackend};
+use crate::backends::{BackendDispatch, BackendFleet, QueuedBackend};
 use crate::proxies::ProxyHandle;
 
 /// The backend behaviour of one service version under traffic: how long the
@@ -106,23 +106,6 @@ impl BackendModel {
         match self {
             BackendModel::Profile(p) => p.service_time,
             BackendModel::Queued(q) => q.service_time,
-        }
-    }
-
-    /// Applies engine-level capacity defaults: a plain profile is upgraded
-    /// to a queued backend with the defaults' replica/queue/timeout shape
-    /// (the profile keeps supplying service time and error rate); explicit
-    /// queued backends are untouched.
-    fn with_defaults(self, defaults: Option<BackendDefaults>) -> Self {
-        match (self, defaults) {
-            (BackendModel::Profile(p), Some(d)) => BackendModel::Queued(QueuedBackend {
-                service_time: p.service_time,
-                error_rate: p.error_rate,
-                replicas: d.replicas,
-                queue_capacity: d.queue_capacity,
-                timeout: d.timeout,
-            }),
-            (model, _) => model,
         }
     }
 }
@@ -396,33 +379,28 @@ struct Slot {
 #[derive(Debug)]
 struct VersionSlots {
     slots: Vec<Slot>,
-    /// Version → series label; versions the profile did not name are
-    /// labelled with their id rendering.
-    labels: BTreeMap<VersionId, String>,
-    /// Version → backend model, resolved from the profile and the engine's
-    /// capacity defaults.
-    models: BTreeMap<VersionId, BackendModel>,
-    /// The resolved model for versions the profile did not name.
-    default_model: BackendModel,
 }
 
 impl VersionSlots {
-    /// The index of `version`'s slot, filled on first sight.
-    fn index(&mut self, version: VersionId, recorder: &mut TrafficSeriesRecorder) -> usize {
+    /// The index of `version`'s slot, filled on first sight from `profile`
+    /// (versions the profile did not name are labelled with their id
+    /// rendering and served by its default backend).
+    fn index(
+        &mut self,
+        version: VersionId,
+        profile: &TrafficProfile,
+        recorder: &mut TrafficSeriesRecorder,
+    ) -> usize {
         if let Some(index) = self.slots.iter().position(|slot| slot.version == version) {
             return index;
         }
-        let recorder = match self.labels.get(&version) {
+        let recorder = match profile.version_labels.get(&version) {
             Some(label) => recorder.slot(label),
             None => recorder.slot(&version.to_string()),
         };
         self.slots.push(Slot {
             version,
-            model: self
-                .models
-                .get(&version)
-                .copied()
-                .unwrap_or(self.default_model),
+            model: profile.backend_of(version),
             recorder,
             requests: 0,
             shed: 0,
@@ -458,7 +436,6 @@ impl TrafficStream {
         index: usize,
         seed: Seed,
         store: SharedMetricStore,
-        backend_defaults: Option<BackendDefaults>,
     ) -> Self {
         let stream_seed = seed.stream(&format!("traffic-{index}"));
         let arrivals = profile.load.plan_seeded(stream_seed);
@@ -478,23 +455,13 @@ impl TrafficStream {
             profile.version_labels.values().map(String::as_str),
             SimTime::ZERO.to_timestamp(),
         );
-        let versions = VersionSlots {
-            slots: Vec::new(),
-            labels: profile.version_labels.clone(),
-            models: profile
-                .backends
-                .iter()
-                .map(|(version, model)| (*version, model.with_defaults(backend_defaults)))
-                .collect(),
-            default_model: profile.default_backend.with_defaults(backend_defaults),
-        };
         Self {
             rng: SimRng::seeded(stream_seed.stream("backends").value()),
             shadow_rng: SimRng::seeded(stream_seed.stream("shadow-backends").value()),
             recorder,
             arrivals,
             batches,
-            versions,
+            versions: VersionSlots { slots: Vec::new() },
             profile,
             stats: TrafficStats::default(),
             scratch: Vec::new(),
@@ -552,7 +519,9 @@ impl TrafficStream {
             let receipt = cpu.submit(arrival.at, *cost);
             self.stats.proxy_busy += *cost;
             let proxy_ms = (receipt.completed - arrival.at).as_secs_f64() * 1_000.0;
-            let primary = self.versions.index(decision.primary, &mut self.recorder);
+            let primary = self
+                .versions
+                .index(decision.primary, &self.profile, &mut self.recorder);
             let model = self.versions.slots[primary].model;
             // Service demand: the version's mean service time with a ±10%
             // deterministic jitter so latency series are not flat lines
@@ -617,7 +586,9 @@ impl TrafficStream {
                 // surfaces to the caller: no latency, no error. The demand
                 // draw comes from the dedicated shadow RNG so the primary
                 // sequence is independent of the dark-launch share.
-                let target = self.versions.index(shadow.target, &mut self.recorder);
+                let target = self
+                    .versions
+                    .index(shadow.target, &self.profile, &mut self.recorder);
                 let slot = &mut self.versions.slots[target];
                 slot.shadows += 1;
                 self.recorder.observe_shadow_at(slot.recorder);
@@ -641,7 +612,9 @@ impl TrafficStream {
         // service, the first stream's tick consumes the window.)
         for (version, server) in fleet.servers_of_mut(service) {
             let percent = server.sample_utilization(at);
-            let slot = self.versions.index(version, &mut self.recorder);
+            let slot = self
+                .versions
+                .index(version, &self.profile, &mut self.recorder);
             self.recorder
                 .observe_utilization_at(self.versions.slots[slot].recorder, percent);
             let peak = self.stats.peak_utilization.entry(version).or_insert(0.0);
@@ -750,26 +723,6 @@ mod tests {
             profile.backend_of(VersionId::new(9)).service_time(),
             Duration::from_millis(9)
         );
-    }
-
-    #[test]
-    fn engine_defaults_upgrade_profiles_but_not_explicit_queued_backends() {
-        let defaults = BackendDefaults::new(4, 32, Duration::from_millis(300));
-        let upgraded = BackendModel::Profile(BackendProfile::healthy(Duration::from_millis(8)))
-            .with_defaults(Some(defaults));
-        match upgraded {
-            BackendModel::Queued(q) => {
-                assert_eq!(q.service_time, Duration::from_millis(8));
-                assert_eq!(q.replicas, 4);
-                assert_eq!(q.queue_capacity, 32);
-                assert_eq!(q.timeout, Duration::from_millis(300));
-            }
-            other => panic!("expected queued, got {other:?}"),
-        }
-        let explicit = BackendModel::Queued(QueuedBackend::new(Duration::from_millis(8)));
-        assert_eq!(explicit.with_defaults(Some(defaults)), explicit);
-        let untouched = BackendModel::Profile(BackendProfile::default());
-        assert_eq!(untouched.with_defaults(None), untouched);
     }
 
     #[test]

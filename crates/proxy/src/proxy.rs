@@ -185,9 +185,7 @@ impl BifrostProxy {
     /// session-shard count.
     pub fn new(name: impl Into<String>, config: ProxyConfig) -> Self {
         let name = name.into();
-        let seed = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
-        });
+        let seed = hash::fnv1a(name.as_bytes());
         Self {
             name,
             compiled: CompiledRules::compile(&config),

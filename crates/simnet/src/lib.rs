@@ -6,7 +6,8 @@
 //! * **virtual time** ([`SimTime`], microsecond resolution),
 //! * a single-core (or multi-core) **CPU** whose contention produces
 //!   queueing delay and utilisation ([`CpuResource`]), and
-//! * a seeded **random stream** for jitter and sampling ([`SimRng`]).
+//! * a seeded **random stream** for jitter and sampling ([`SimRng`], an
+//!   in-crate xoshiro256** whose sequence every seeded result is pinned to).
 //!
 //! The substitution argument: the paper's evaluation measures *relative*
 //! effects — an extra proxy hop per request, the saturation point of a
